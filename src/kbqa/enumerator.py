@@ -7,6 +7,14 @@ superlatives); a class constraint may wrap each form at the outermost
 level. Every emitted form has a non-empty denotation by construction,
 and the output is deduplicated by canonical print and ordered by
 (relation count, canonical print) before the candidate cap applies.
+
+Cost model: `_joins` reads the in- and out-edges of a member set in one
+pass and buckets the far ends per relation, so each distinct
+(form, relation) bucket is built once however many edges share its
+relation, and the edges of a member set are read once. Hop 1 starts
+from each start's denotation, hop 2 from each hop-1 bucket, and no
+emitted form is evaluated again. A class wrap reads only the type edges
+of its form's members.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .executor import _eval_set, evaluate
+from .executor import evaluate
 from .sexpr import (And, ClassRef, EntityRef, Join, LiteralRef, LogicalForm,
                     Reverse, print_canonical, relation_count)
 from .store import LiteralValue, TripleStore
@@ -52,31 +60,21 @@ class EnumConfig:
             raise ValueError("max_candidates must be non-negative")
 
 
-def _one_hop(start: StartPoint, store: TripleStore) -> list[LogicalForm]:
-    """JOIN forms reaching a new variable from the start, both
-    orientations, built from edges that actually exist."""
-    anchor = start.ref()
-    forms: list[LogicalForm] = []
-    for relation, _subject in store.neighbors_in(start.value):
-        forms.append(Join(relation, anchor))
-    if start.kind == "entity":
-        for relation, _obj in store.neighbors_out(start.value):
-            forms.append(Join(Reverse(relation), anchor))
-    return forms
-
-
-def _extensions(base: LogicalForm, members, store: TripleStore) -> list[LogicalForm]:
-    in_rels: set[str] = set()
-    out_rels: set[str] = set()
+def _joins(base: LogicalForm, members, store: TripleStore) -> list[tuple[LogicalForm, set]]:
+    """One pass over the members' in- and out-edges: every
+    (JOIN r base), then every (JOIN (R r) base), each with its member
+    set and each in sorted relation order."""
+    ins: dict[str, set] = {}
+    outs: dict[str, set] = {}
     for member in members:
-        for relation, _subject in store.neighbors_in(member):
-            in_rels.add(relation)
+        for relation, subject in store.neighbors_in(member):
+            ins.setdefault(relation, set()).add(subject)
         if isinstance(member, str):
-            for relation, _obj in store.neighbors_out(member):
-                out_rels.add(relation)
-    forms: list[LogicalForm] = [Join(r, base) for r in sorted(in_rels)]
-    forms.extend(Join(Reverse(r), base) for r in sorted(out_rels))
-    return forms
+            for relation, obj in store.neighbors_out(member):
+                outs.setdefault(relation, set()).add(obj)
+    joins = [(Join(r, base), ins[r]) for r in sorted(ins)]
+    joins.extend((Join(Reverse(r), base), outs[r]) for r in sorted(outs))
+    return joins
 
 
 def _class_wraps(form: LogicalForm, members, store: TripleStore) -> list[LogicalForm]:
@@ -92,41 +90,27 @@ def _class_wraps(form: LogicalForm, members, store: TripleStore) -> list[Logical
 def enumerate_elfs(starts: list[StartPoint], store: TripleStore,
                    cfg: EnumConfig = EnumConfig()) -> list[LogicalForm]:
     """Index-driven neighborhood walk; see the module docstring for the
-    output contract."""
+    output contract and the cost model."""
     collected: dict[str, LogicalForm] = {}
 
-    def keep(form: LogicalForm, members) -> None:
-        if not members:
-            return
-        key = print_canonical(form)
-        if key not in collected:
-            collected[key] = form
+    def keep(joins: list[tuple[LogicalForm, set]]) -> None:
+        for form, members in joins:
+            collected.setdefault(print_canonical(form), form)
+            if cfg.include_class_constraint:
+                # A class read from a member's type edge has that member
+                # among its instances, so a wrap is never empty.
+                for wrapped in _class_wraps(form, members, store):
+                    collected.setdefault(print_canonical(wrapped), wrapped)
 
     for start in dict.fromkeys(starts):
-        hop1 = _one_hop(start, store)
-        hop1_members = []
-        for form in hop1:
-            members = _eval_set(form, store)
-            hop1_members.append(members)
-            keep(form, members)
-            if cfg.include_class_constraint:
-                for wrapped in _class_wraps(form, members, store):
-                    keep(wrapped, _eval_set(wrapped, store))
-        if cfg.hop_limit < 2:
-            continue
-        for form, members in zip(hop1, hop1_members):
-            if not members:
-                continue
-            for extended in _extensions(form, members, store):
-                ext_members = _eval_set(extended, store)
-                keep(extended, ext_members)
-                if cfg.include_class_constraint:
-                    for wrapped in _class_wraps(extended, ext_members, store):
-                        keep(wrapped, _eval_set(wrapped, store))
+        joins = _joins(start.ref(), [start.value], store)
+        keep(joins)
+        if cfg.hop_limit == 2:
+            for form, members in joins:
+                keep(_joins(form, members, store))
 
-    ordered = sorted(collected.values(),
-                     key=lambda f: (relation_count(f), print_canonical(f)))
-    return ordered[:cfg.max_candidates]
+    ordered = sorted(collected.items(), key=lambda kv: (relation_count(kv[1]), kv[0]))
+    return [form for _key, form in ordered[:cfg.max_candidates]]
 
 
 def completeness_oracle(starts: list[StartPoint], store: TripleStore,

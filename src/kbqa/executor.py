@@ -599,13 +599,9 @@ def _exec_query(query: dict, store: TripleStore):
 
     header = query["header"]
     if header["kind"] in ("distinct", "min", "max"):
-        var = header["var"]
-        seen = []
-        for row in rows:
-            value = row.get(var)
-            if value is not None and value not in seen:
-                seen.append(value)
-        return seen
+        # First-seen order; a literal hashes on the identity its == uses.
+        values = (row.get(header["var"]) for row in rows)
+        return list(dict.fromkeys(v for v in values if v is not None))
     if header["kind"] == "count":
         var = header["var"]
         seen = set()

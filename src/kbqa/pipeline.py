@@ -202,11 +202,14 @@ class PipelineConfig:
     seed: int = 0
 
 
-def question_literal_starts(question: Question) -> list[StartPoint]:
-    """Numbers mentioned in the question are enumeration start points."""
+def question_literal_starts(question: Question,
+                            links: Sequence[LinkedEntity]) -> list[StartPoint]:
+    """Numbers mentioned in the question are enumeration start points,
+    except those inside a linked entity's mention."""
+    linked = {i for link in links for i in range(link.mention.start, link.mention.end)}
     starts = []
-    for token in question.tokens:
-        if NUMBER_RE.fullmatch(token):
+    for i, token in enumerate(question.tokens):
+        if i not in linked and NUMBER_RE.fullmatch(token):
             starts.append(StartPoint.literal(LiteralValue("float", float(token))))
     return starts
 
@@ -244,7 +247,7 @@ class Pipeline:
     def starts(self, question: Question,
                links: Sequence[LinkedEntity]) -> list[StartPoint]:
         starts = [StartPoint.entity(link.entity) for link in links]
-        starts.extend(question_literal_starts(question))
+        starts.extend(question_literal_starts(question, links))
         return starts
 
     def decode(self, context_ids: Sequence[int],

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from kbqa.enumerator import (EnumConfig, StartPoint, completeness_oracle,
 from kbqa.executor import evaluate
 from kbqa.fixtures import random_store
 from kbqa.sexpr import parse, print_canonical, relation_count, validate_schema
-from kbqa.store import LiteralValue
+from kbqa.store import LiteralValue, StoreBuilder
 
 
 def prints(forms):
@@ -73,10 +74,16 @@ def test_class_constraint_flag(toy):
 
 
 def test_truncation_deterministic(toy):
-    full = enumerate_elfs(toy_starts(), toy)
-    capped = enumerate_elfs(toy_starts(), toy, EnumConfig(max_candidates=3))
-    assert [print_canonical(f) for f in capped] == \
-        [print_canonical(f) for f in full][:3]
+    # The hub's 1-relation forms alone exceed its cap.
+    hub = hub_store(400, in_relations=40)
+    hub_starts = [StartPoint.entity("hub")]
+    hub_cap = sum(relation_count(f) == 1 for f in enumerate_elfs(hub_starts, hub)) - 5
+    assert hub_cap >= 20
+    for store, starts, cap in [(toy, toy_starts(), 3), (hub, hub_starts, hub_cap)]:
+        full = enumerate_elfs(starts, store)
+        capped = enumerate_elfs(starts, store, EnumConfig(max_candidates=cap))
+        assert [print_canonical(f) for f in capped] == \
+            [print_canonical(f) for f in full][:cap]
 
 
 def test_matches_oracle_on_toy(toy):
@@ -93,6 +100,7 @@ def test_matches_oracle_hop1_on_toy(toy):
 
 def test_matches_oracle_on_random_stores():
     rng = random.Random(55)
+    cases = []
     for _ in range(8):
         store = random_store(rng, max_entities=14)
         entities = sorted(store.all_entities())
@@ -101,7 +109,11 @@ def test_matches_oracle_on_random_stores():
                     if isinstance(t.object, LiteralValue)]
         if literals:
             starts.append(StartPoint.literal(literals[0]))
-        cfg = EnumConfig(max_candidates=100000)
+        cases.append((store, starts))
+    cases.append((hub_store(200, in_relations=3),
+                  [StartPoint.entity("hub"), StartPoint.literal(LiteralValue("float", 3.0))]))
+    cfg = EnumConfig(max_candidates=100000)
+    for store, starts in cases:
         assert prints(enumerate_elfs(starts, store, cfg)) == \
             prints(completeness_oracle(starts, store, cfg))
 
@@ -109,3 +121,28 @@ def test_matches_oracle_on_random_stores():
 def test_invalid_config():
     with pytest.raises(ValueError):
         EnumConfig(hop_limit=3)
+
+
+def hub_store(degree, in_relations=1):
+    """A typed hub with `degree` in-edges spread over `in_relations`
+    relations; each source is typed, points on to one of 50 targets and
+    carries a number."""
+    builder = StoreBuilder()
+    builder.add_triple("hub", "type_rel", "k.hub")
+    builder.add_triple("hub", "k.home", "t0")
+    for j in range(degree):
+        source = f"s{j}"
+        builder.add_triple(source, "type_rel", f"k.c{j % 5}")
+        builder.add_triple(source, f"k.in{j % in_relations}", "hub")
+        builder.add_triple(source, "k.next", f"t{j % 50}")
+        builder.add_triple(source, "k.size", LiteralValue("float", float(j % 7)))
+    return builder.freeze()
+
+
+def test_degree_ten_thousand_hub_enumerates_quickly():
+    store = hub_store(10_000)
+    t0 = time.perf_counter()
+    out = enumerate_elfs([StartPoint.entity("hub")], store)
+    elapsed = time.perf_counter() - t0
+    assert "(JOIN k.in0 hub)" in prints(out)
+    assert elapsed < 2.0, f"degree-10^4 hub took {elapsed:.2f} s"

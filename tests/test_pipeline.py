@@ -259,3 +259,30 @@ def test_case_fixture_pipeline_end_to_end():
     assert prediction.logical_form == print_canonical(canonicalize(
         parse(case.correct)))
     assert prediction.answers == case.answers
+
+
+def test_number_inside_a_linked_mention_is_not_a_literal_start():
+    """An entity labelled "flux orbit 880" next to an unrelated literal
+    880.0: the number belongs to the mention, so only the entity
+    anchors enumeration, and the fallback answer names it."""
+    from kbqa.store import LiteralValue, StoreBuilder
+    builder = StoreBuilder()
+    for entity, label, target, value in (("m.00880", "flux orbit 880", "m.00005", 12.5),
+                                         ("m.00042", "ridge pulse 42", "m.00017", 880.0)):
+        builder.add_triple(entity, "type_rel", "cat3.orbit_kind")
+        builder.add_triple(entity, "cat3.orbit_kind.orbit_of", target)
+        builder.add_triple(target, "cat2.gamma_kind.gamma_value",
+                           LiteralValue("float", value))
+        builder.set_entity_label(entity, label)
+        builder.add_alias(label, entity, 1.0)
+    store = builder.freeze()
+    text = "which flux orbit 880 connects to something with a value"
+    empty_form = "(JOIN cat2.gamma_kind.gamma_value m.00880)"  # valid but empty
+    pipe = Pipeline(store, PipelineConfig(), token_scorer=oracle_factory(empty_form))
+    question = Question.of(text)
+    links = pipe.link(question)
+    assert [link.entity for link in links] == ["m.00880"]
+    assert all(start.kind == "entity" for start in pipe.starts(question, links))
+    prediction = pipe.predict(text, "ef880")
+    assert prediction.provenance == "elf-fallback"
+    assert "m.00880" in prediction.logical_form

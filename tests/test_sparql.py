@@ -123,3 +123,21 @@ def test_deterministic_emission(toy):
                "(lt sf.chamber_pressure 257.0^^float)))")
     assert compile_sparql(lf).text == compile_sparql(lf).text
     assert compile_sparql(lf).text.startswith("SELECT DISTINCT ?x WHERE {")
+
+
+def test_distinct_over_many_answers_is_linear():
+    """SELECT DISTINCT over a two-pattern query with 20k answers."""
+    import time
+    from kbqa.store import StoreBuilder
+    builder = StoreBuilder()
+    for i in range(20_000):
+        builder.add_triple(f"e{i}", "type_rel", "ns.thing")
+        builder.add_triple(f"e{i}", "ns.thing.link", "target")
+    store = builder.freeze()
+    form = parse("(AND ns.thing (JOIN ns.thing.link target))")
+    query = compile_sparql(form)
+    t0 = time.perf_counter()
+    answer = evaluate_sparql_subset(query, store)
+    elapsed = time.perf_counter() - t0
+    assert answer == evaluate(form, store) and len(answer.entities) == 20_000
+    assert elapsed < 1.0, f"20k-answer DISTINCT took {elapsed:.2f} s"
