@@ -43,17 +43,13 @@ class Hypothesis:
     state: Optional[GrammarState]  # None once the sequence left the grammar
     finished: bool = False
 
-    def sort_key(self, length_normalize: bool = False):
-        score = self.log_prob
-        if length_normalize and self.tokens:
-            score /= len(self.tokens)
-        return (-_quantize(score), self.tokens)
+    def sort_key(self):
+        return (-_quantize(self.log_prob), self.tokens)
 
 
 def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
                 constrained: bool = True, beam_size: int = 10,
-                max_len: int = 128,
-                length_normalize: bool = False) -> list[Hypothesis]:
+                max_len: int = 128) -> list[Hypothesis]:
     """Top finished hypotheses, score-descending, ties broken by token
     sequence; at most beam_size results. Empty when every path
     dead-ends before finishing."""
@@ -105,14 +101,14 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
         live = next_live
         if not live:
             break
-        if len(finished) >= beam_size and not length_normalize:
+        if len(finished) >= beam_size:
             # Scores never increase along a path, so once no live
             # hypothesis can beat the k-th best finished one, stop.
             kth_best = sorted(h.log_prob for h in finished)[-beam_size]
             if max(h.log_prob for h in live) <= kth_best:
                 break
 
-    finished.sort(key=lambda h: h.sort_key(length_normalize))
+    finished.sort(key=Hypothesis.sort_key)
     return finished[:beam_size]
 
 

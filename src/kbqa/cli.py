@@ -2,7 +2,9 @@
 
 Subcommands: ingest, link, enumerate, retrieve-schema, decode, execute,
 compile-sparql, predict, eval. Exit codes: 0 success, 1 usage error,
-2 data error, 3 scorer-protocol error.
+2 data error, 3 scorer-protocol error. In `decode` and `predict`, a
+failed link, enumerate, retrieve or decode stage does not end the run:
+it is recorded under `stage_errors` in that question's output line.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from .errors import DataError, KbqaError, ScorerProtocolError, UsageError
 from .executor import compile_sparql, evaluate, evaluate_sparql_subset
 from .fixtures import toy_store
 from .metrics import evaluate_dataset, render_report, report_to_json
-from .pipeline import (Pipeline, PipelineConfig, Prediction, QAExample,
-                       assemble_context, load_dataset)
+from .pipeline import Pipeline, PipelineConfig, Prediction, QAExample, load_dataset
 from .retrieve import (ConstantScorer, ExternalTextScorer, Question, Scorer,
                        TableScorer, build_lexical_scorer, link_question,
-                       rank_elfs, retrieve_schema)
+                       retrieve_schema)
 from .scorers import (ExternalTokenScorer, OracleScorer, UniformScorer,
                       ngram_scorer_from_forms)
 from .sexpr import canonicalize, parse, print_canonical
@@ -221,7 +222,6 @@ def make_pipeline(args, store: TripleStore,
         max_mention_len=args.max_mention_len,
         enum=EnumConfig(hop_limit=args.hop_limit, max_candidates=args.max_candidates),
         dump_context=args.dump_context,
-        seed=args.seed,
     )
     return Pipeline(store, cfg,
                     text_scorer=make_text_scorer(args.retrieval_scorer, store,
@@ -325,24 +325,17 @@ def cmd_decode(args) -> int:
                          extra_vocab_texts=[e.question for e in examples])
     out = _Output(args.out)
     for example in examples:
-        question = Question.of(example.question)
-        links = pipe.link(question)
-        elfs = enumerate_elfs(pipe.starts(question, links), store, pipe.cfg.enum)
-        ranked = rank_elfs(question, elfs, pipe.text_scorer, pipe.cfg.top_elf)
-        classes, relations = retrieve_schema(question, store, pipe.text_scorer,
-                                             pipe.cfg.top_schema)
-        context = assemble_context(pipe.vocab, question, links, ranked,
-                                   (classes, relations), pipe.cfg.input_budget,
-                                   store=store)
-        hypotheses = pipe.decode(context.token_ids, links)
-        out.write(json.dumps({
+        prepared = pipe.prepare(example.question)
+        record = {
             "qid": example.qid,
             "hypotheses": [
-                {"rank": i, "text": pipe.hypothesis_text(h, links),
-                 "log_prob": h.log_prob}
-                for i, h in enumerate(hypotheses)
+                {"rank": i, "text": text, "log_prob": hyp.log_prob}
+                for i, (hyp, text) in enumerate(pipe.decode(prepared))
             ],
-        }) + "\n")
+        }
+        if prepared.stage_errors:
+            record["stage_errors"] = prepared.stage_errors
+        out.write(json.dumps(record) + "\n")
     out.close()
     return 0
 

@@ -10,6 +10,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -197,9 +198,7 @@ class PipelineConfig:
     constrained: bool = True
     max_mention_len: int = 15
     enum: EnumConfig = field(default_factory=EnumConfig)
-    length_normalize: bool = False
     dump_context: bool = False
-    seed: int = 0
 
 
 def question_literal_starts(question: Question,
@@ -214,10 +213,38 @@ def question_literal_starts(question: Question,
     return starts
 
 
+def _timed_stage(timing: dict[str, float], name: str, run: Callable,
+                 errors: Optional[dict[str, str]] = None, empty=None):
+    """Runs one stage and records its wall time as timing[name]. With
+    `errors`, a KbqaError degrades the stage to `empty` and its message
+    is kept as errors[name]; without, the error escapes."""
+    t0 = time.perf_counter()
+    try:
+        return run()
+    except KbqaError as exc:
+        if errors is None:
+            raise
+        errors[name] = str(exc)
+        return empty
+    finally:
+        timing[name] = time.perf_counter() - t0
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """One question's decoder input, with the timing and stage errors of
+    the stages run so far (decode adds its own)."""
+    links: list[LinkedEntity]
+    ranked_elfs: list[ScoredCandidate]
+    context: AssembledContext
+    timing: dict[str, float]
+    stage_errors: dict[str, str]
+
+
 class Pipeline:
     """Prebuilds the vocabulary, tries, and scorers for one store; then
-    answers questions. Safe for concurrent predict() calls when the
-    token scorer is reentrant (calls are serialized otherwise)."""
+    answers questions. Safe for concurrent predict() calls; decoding is
+    serialized while the token scorer is not reentrant."""
 
     def __init__(self, store: TripleStore, cfg: PipelineConfig = PipelineConfig(),
                  text_scorer: Optional[Scorer] = None,
@@ -235,8 +262,9 @@ class Pipeline:
             self.token_scorer = token_scorer(self.vocab)  # factory
         else:
             self.token_scorer = token_scorer
-        self._scorer_lock = threading.Lock() if not getattr(
-            self.token_scorer, "reentrant", True) else None
+        # token_scorer may be reassigned later, so whether to take the
+        # lock is decided at decode time.
+        self._scorer_lock = threading.Lock()
 
     # -- stages ----------------------------------------------------------
 
@@ -250,112 +278,81 @@ class Pipeline:
         starts.extend(question_literal_starts(question, links))
         return starts
 
-    def decode(self, context_ids: Sequence[int],
-               links: Sequence[LinkedEntity]) -> list[Hypothesis]:
-        decode_ctx = DecodeContext(
-            self.vocab, self.class_trie, self.rel_trie,
-            [link.entity for link in links])
-        if self._scorer_lock is not None:
-            with self._scorer_lock:
-                return beam_search(self.token_scorer, context_ids, decode_ctx,
-                                   constrained=self.cfg.constrained,
-                                   beam_size=self.cfg.beam_size,
-                                   max_len=self.cfg.max_output_tokens,
-                                   length_normalize=self.cfg.length_normalize)
-        return beam_search(self.token_scorer, context_ids, decode_ctx,
-                           constrained=self.cfg.constrained,
-                           beam_size=self.cfg.beam_size,
-                           max_len=self.cfg.max_output_tokens,
-                           length_normalize=self.cfg.length_normalize)
+    def prepare(self, question_text: str) -> Prepared:
+        """Link, enumerate, retrieve and assemble. A failed stage before
+        assembly degrades to its empty result, recorded under its stage
+        label, so the fallback chain still runs."""
+        timing: dict[str, float] = {}
+        errors: dict[str, str] = {}
+        question = Question.of(question_text)
+        links = _timed_stage(timing, "link", lambda: self.link(question), errors, [])
+        elfs = _timed_stage(timing, "enumerate", lambda: enumerate_elfs(
+            self.starts(question, links), self.store, self.cfg.enum), errors, [])
 
-    def hypothesis_text(self, hyp: Hypothesis,
-                        links: Sequence[LinkedEntity]) -> str:
+        def retrieve():
+            ranked = rank_elfs(question, elfs, self.text_scorer, self.cfg.top_elf)
+            return ranked, retrieve_schema(question, self.store, self.text_scorer,
+                                           self.cfg.top_schema)
+        ranked_elfs, schema = _timed_stage(timing, "retrieve", retrieve, errors,
+                                           ([], ([], [])))
+        context = _timed_stage(timing, "assemble", lambda: assemble_context(
+            self.vocab, question, links, ranked_elfs, schema, self.cfg.input_budget,
+            store=self.store))
+        return Prepared(links, ranked_elfs, context, timing, errors)
+
+    def decode(self, prepared: Prepared) -> list[tuple[Hypothesis, str]]:
+        """Beam hypotheses in rank order, each with its rendered text; a
+        failed decode degrades to none, recorded under "decode"."""
         decode_ctx = DecodeContext(
             self.vocab, self.class_trie, self.rel_trie,
-            [link.entity for link in links])
-        rendered = render_tokens(hyp.tokens, decode_ctx)
-        if rendered is not None:
-            return rendered
-        return raw_join(self.vocab, hyp.tokens, skip={self.vocab.end_id})
+            [link.entity for link in prepared.links])
+
+        def search():
+            scorer = self.token_scorer
+            reentrant = getattr(scorer, "reentrant", True)
+            with nullcontext() if reentrant else self._scorer_lock:
+                hypotheses = beam_search(
+                    scorer, prepared.context.token_ids, decode_ctx,
+                    constrained=self.cfg.constrained, beam_size=self.cfg.beam_size,
+                    max_len=self.cfg.max_output_tokens)
+            return [(hyp, render_tokens(hyp.tokens, decode_ctx)
+                     or raw_join(self.vocab, hyp.tokens, skip={self.vocab.end_id}))
+                    for hyp in hypotheses]
+        return _timed_stage(prepared.timing, "decode", search,
+                            prepared.stage_errors, [])
 
     # -- end to end --------------------------------------------------------
 
     def predict(self, question_text: str, qid: str = "q0") -> Prediction:
-        """A failed stage degrades to its empty result (recorded under a
-        stage label) so the fallback chain still runs; only errors with
-        no fallback escape."""
-        timing: dict[str, float] = {}
-        stage_errors: dict[str, str] = {}
+        """The first candidate that passes the execution check wins:
+        generated hypotheses in beam order, then the ranked exemplary
+        forms. Only errors with no fallback escape."""
         clock = time.perf_counter
         t_start = clock()
-
-        question = Question.of(question_text)
-        t0 = clock()
-        try:
-            links = self.link(question)
-        except KbqaError as exc:
-            links, stage_errors["link"] = [], str(exc)
-        timing["link"] = clock() - t0
+        prepared = self.prepare(question_text)
+        decoded = self.decode(prepared)
 
         t0 = clock()
-        try:
-            elfs = enumerate_elfs(self.starts(question, links), self.store,
-                                  self.cfg.enum)
-        except KbqaError as exc:
-            elfs, stage_errors["enumerate"] = [], str(exc)
-        timing["enumerate"] = clock() - t0
-
-        t0 = clock()
-        try:
-            ranked_elfs = rank_elfs(question, elfs, self.text_scorer,
-                                    self.cfg.top_elf)
-            classes, relations = retrieve_schema(
-                question, self.store, self.text_scorer, self.cfg.top_schema)
-        except KbqaError as exc:
-            ranked_elfs, classes, relations = [], [], []
-            stage_errors["retrieve"] = str(exc)
-        timing["retrieve"] = clock() - t0
-
-        t0 = clock()
-        context = assemble_context(self.vocab, question, links, ranked_elfs,
-                                   (classes, relations), self.cfg.input_budget,
-                                   store=self.store)
-        timing["assemble"] = clock() - t0
-
-        t0 = clock()
-        try:
-            hypotheses = self.decode(context.token_ids, links)
-        except KbqaError as exc:
-            hypotheses, stage_errors["decode"] = [], str(exc)
-        timing["decode"] = clock() - t0
-
-        t0 = clock()
+        candidates = [(text, "generated", rank) for rank, (_, text) in enumerate(decoded)]
+        candidates += [(cand.candidate, "elf-fallback", None)
+                       for cand in prepared.ranked_elfs]
         chosen_form: Optional[str] = None
         answers: Optional[tuple[str, ...]] = None
-        provenance = "none"
-        beam_rank: Optional[int] = None
-        for rank, hyp in enumerate(hypotheses):
-            text = self.hypothesis_text(hyp, links)
-            if is_valid_prediction(text, self.store):
-                parsed = canonicalize(parse(text))
+        provenance, beam_rank = "none", None
+        for form, source, rank in candidates:
+            if is_valid_prediction(form, self.store):
+                parsed = canonicalize(parse(form) if isinstance(form, str) else form)
                 chosen_form = print_canonical(parsed)
                 answers = tuple(evaluate(parsed, self.store).strings())
-                provenance = "generated"
-                beam_rank = rank
+                provenance, beam_rank = source, rank
                 break
-        if chosen_form is None:
-            for cand in ranked_elfs:
-                if is_valid_prediction(cand.candidate, self.store):
-                    parsed = canonicalize(cand.candidate)
-                    chosen_form = print_canonical(parsed)
-                    answers = tuple(evaluate(parsed, self.store).strings())
-                    provenance = "elf-fallback"
-                    break
+        timing = prepared.timing
         timing["validate"] = clock() - t0
         timing["total"] = clock() - t_start
 
         context_dump = None
         if self.cfg.dump_context:
+            context = prepared.context
             context_dump = {
                 "entities": [list(pair) for pair in context.entities],
                 "elfs": list(context.elf_prints),
@@ -363,7 +360,7 @@ class Pipeline:
                 "token_count": len(context.token_ids),
             }
         return Prediction(qid, chosen_form, answers, provenance, beam_rank,
-                          timing, context_dump, stage_errors)
+                          timing, context_dump, prepared.stage_errors)
 
     def predict_batch(self, examples: Sequence[QAExample],
                       workers: int = 1) -> list[Prediction]:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -140,6 +141,18 @@ def test_exit_codes(kb_files, tmp_path, capsys):
     # scorer spec errors are usage errors
     assert run(["predict", "--kb", kb_files["kb"], "--scorer", "bogus",
                 str(tmp_path / "nope.jsonl")]) in (1, 2)
+
+
+def test_decode_records_stage_errors(kb_files, dataset, capsys):
+    # a generation scorer whose process exits at once fails every decode
+    dead = f"extern:{sys.executable} -c pass"
+    assert run(["decode", "--kb", kb_files["kb"], "--aliases", kb_files["aliases"],
+                "--scorer", dead, dataset]) == 0
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["qid"] for r in records] == ["q1", "q2"]
+    for record in records:
+        assert record["hypotheses"] == []
+        assert "scorer" in record["stage_errors"]["decode"]
 
 
 def test_dump_context_flag(kb_files, dataset, tmp_path):

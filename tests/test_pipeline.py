@@ -223,6 +223,20 @@ def test_decode_stage_error_triggers_fallback(toy):
     assert "stage_errors" in prediction.to_json()
 
 
+def test_link_and_retrieve_stage_errors_degrade(toy):
+    from kbqa.errors import ScorerProtocolError
+
+    class Failing:
+        def score(self, question, candidate_text):
+            raise ScorerProtocolError("retrieval scorer went away")
+
+    pipe = Pipeline(toy, PipelineConfig(), text_scorer=Failing())
+    prediction = pipe.predict(QUESTION_ONE, "qerr")
+    assert set(prediction.stage_errors) == {"link", "retrieve"}
+    assert set(prediction.timing) == {"link", "enumerate", "retrieve", "assemble",
+                                      "decode", "validate", "total"}
+
+
 def test_non_reentrant_scorer_is_serialized(toy):
     import time as time_mod
 
@@ -243,10 +257,14 @@ def test_non_reentrant_scorer_is_serialized(toy):
                 self.inside -= 1
 
     cfg = PipelineConfig(beam_size=2, max_output_tokens=12)
-    pipe = Pipeline(toy, cfg, token_scorer=lambda v: GuardedScorer(v.size))
+    built = Pipeline(toy, cfg, token_scorer=lambda v: GuardedScorer(v.size))
+    # a scorer assigned after construction is serialized too
+    assigned = Pipeline(toy, cfg)
+    assigned.token_scorer = GuardedScorer(assigned.vocab.size)
     examples = [QAExample(f"q{i}", QUESTION_ONE) for i in range(4)]
-    predictions = pipe.predict_batch(examples, workers=3)
-    assert [p.qid for p in predictions] == [f"q{i}" for i in range(4)]
+    for pipe in (built, assigned):
+        predictions = pipe.predict_batch(examples, workers=3)
+        assert [p.qid for p in predictions] == [f"q{i}" for i in range(4)]
 
 
 def test_case_fixture_pipeline_end_to_end():
