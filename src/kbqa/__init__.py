@@ -19,7 +19,7 @@ from .scorers import NgramScorer, OracleScorer, RandomTokenScorer, UniformScorer
 from .sexpr import (FunctionClass, LogicalForm, canonicalize, function_class,
                     parse, print_canonical, relation_count, validate_schema)
 from .store import (LiteralValue, SchemaItem, StoreBuilder, Triple, TripleStore,
-                    load_triples, parse_literal)
+                    parse_literal)
 from .trie import SchemaTrie, build_trie
 from .vocab import Vocabulary, build_vocabulary, encode_logical_form
 
@@ -39,7 +39,7 @@ __all__ = [
     "encode_logical_form", "enumerate_elfs", "evaluate", "evaluate_dataset",
     "evaluate_sparql_subset", "exact_match", "function_class",
     "generate_candidates", "hits_at_1", "is_valid_prediction",
-    "lexical_score", "load_dataset", "load_triples", "parse", "parse_literal",
+    "lexical_score", "load_dataset", "parse", "parse_literal",
     "print_canonical", "rank_elfs", "ranker_loss", "relation_count",
     "render_tokens", "retrieve_schema", "sequence_nll", "validate_schema",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack, closing
 from pathlib import Path
 from typing import Optional
 
@@ -133,10 +134,7 @@ def load_store(args) -> TripleStore:
         labels = path / "labels.tsv"
         if labels.exists():
             with labels.open(encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        entity, label = line.rstrip("\n").split("\t", 1)
-                        builder.set_entity_label(entity, label)
+                builder.load_labels(handle, source=str(labels))
         aliases = path / "aliases.tsv"
         if aliases.exists():
             with aliases.open(encoding="utf-8") as handle:
@@ -165,7 +163,8 @@ def _dump_type_relation(path: Path, fallback: str) -> str:
     return fallback
 
 
-def make_text_scorer(spec: str, store: TripleStore, timeout: float) -> Scorer:
+def make_text_scorer(args, store: TripleStore) -> Scorer:
+    spec = args.retrieval_scorer
     if spec == "lexical":
         return build_lexical_scorer(store)
     if spec == "uniform":
@@ -173,7 +172,8 @@ def make_text_scorer(spec: str, store: TripleStore, timeout: float) -> Scorer:
     if spec.startswith("oracle:"):
         return TableScorer.from_json_file(spec.split(":", 1)[1])
     if spec.startswith("extern:"):
-        return ExternalTextScorer(spec.split(":", 1)[1], timeout)
+        return args.closers.enter_context(closing(
+            ExternalTextScorer(spec.split(":", 1)[1], args.scorer_timeout)))
     raise UsageError(f"unknown retrieval scorer spec {spec!r}")
 
 
@@ -200,8 +200,8 @@ def make_token_scorer_factory(args):
             return OracleScorer(targets[0], vocab.size, eps=args.oracle_eps,
                                 fallback_targets=targets[1:], rng_seed=args.seed)
         if spec.startswith("extern:"):
-            return ExternalTokenScorer(spec.split(":", 1)[1], vocab.size,
-                                       args.scorer_timeout)
+            return args.closers.enter_context(closing(ExternalTokenScorer(
+                spec.split(":", 1)[1], vocab.size, args.scorer_timeout)))
         if spec == "lexical":
             raise UsageError("the lexical scorer is a retrieval scorer; "
                              "pick uniform|ngram:<path>|oracle:<path>|extern:<cmd>")
@@ -224,8 +224,7 @@ def make_pipeline(args, store: TripleStore,
         dump_context=args.dump_context,
     )
     return Pipeline(store, cfg,
-                    text_scorer=make_text_scorer(args.retrieval_scorer, store,
-                                                 args.scorer_timeout),
+                    text_scorer=make_text_scorer(args, store),
                     token_scorer=make_token_scorer_factory(args),
                     extra_vocab_texts=extra_vocab_texts)
 
@@ -274,7 +273,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_link(args) -> int:
     store = load_store(args)
-    scorer = make_text_scorer(args.retrieval_scorer, store, args.scorer_timeout)
+    scorer = make_text_scorer(args, store)
     out = _Output(args.out)
     for example in _read_dataset(args.dataset):
         question = Question.of(example.question)
@@ -286,7 +285,7 @@ def cmd_link(args) -> int:
 
 def cmd_enumerate(args) -> int:
     store = load_store(args)
-    scorer = make_text_scorer(args.retrieval_scorer, store, args.scorer_timeout)
+    scorer = make_text_scorer(args, store)
     cfg = EnumConfig(hop_limit=args.hop_limit, max_candidates=args.max_candidates)
     pipeline_cfg = PipelineConfig(max_mention_len=args.max_mention_len, enum=cfg)
     pipe = Pipeline(store, pipeline_cfg, text_scorer=scorer)
@@ -304,7 +303,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_retrieve_schema(args) -> int:
     store = load_store(args)
-    scorer = make_text_scorer(args.retrieval_scorer, store, args.scorer_timeout)
+    scorer = make_text_scorer(args, store)
     out = _Output(args.out)
     for example in _read_dataset(args.dataset):
         question = Question.of(example.question)
@@ -411,7 +410,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # External scorers' child processes end with the command.
+        with ExitStack() as args.closers:
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

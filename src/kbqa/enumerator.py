@@ -81,7 +81,7 @@ def _class_wraps(form: LogicalForm, members, store: TripleStore) -> list[Logical
     classes = set()
     for member in members:
         if isinstance(member, str):
-            for relation, obj in store.neighbors_out(member, store.type_relation):
+            for obj in store.objects_of(member, store.type_relation):
                 if isinstance(obj, str):
                     classes.add(obj)
     return [And(ClassRef(c), form) for c in sorted(classes)]

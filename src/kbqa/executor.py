@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Optional, Union
 
 from . import sexpr
 from .errors import EvalError, EvalTypeError, SexprParseError, SparqlUnsupportedError, UnsupportedFormError
 from .sexpr import (And, ArgMax, ArgMin, ClassRef, Compare, Count, EntityRef,
                     Join, LiteralRef, LogicalForm, Reverse)
-from .store import LiteralValue, Object, TripleStore
+from .store import LiteralValue, Object, TripleStore, parse_literal
 
 Node = Object  # answer-set members: entity ids or literal values
 
@@ -102,7 +101,7 @@ def _eval_set(lf: LogicalForm, store: TripleStore) -> frozenset:
             raise EvalTypeError("comparison against a non-numeric literal")
         accept = _CMP_ACCEPT[lf.op]
         result = set()
-        for subject, obj in store.relation_pairs(lf.relation):
+        for subject, _, obj in store.relation_triples(lf.relation):
             if isinstance(obj, LiteralValue):
                 sign = _cmp_values(obj, lf.literal)
                 if sign is not None and sign in accept:
@@ -349,31 +348,14 @@ def _parse_term(token: str):
     if token.startswith('"'):
         if "^^" in token:
             payload, tag = token.rsplit("^^", 1)
-            tag = tag.strip("<>")
-            body = payload[1:-1].replace('\\"', '"')
-            lit = _typed_literal(body, tag)
+            try:
+                lit = parse_literal(f"{payload}^^{tag.strip('<>')}")
+            except ValueError as exc:
+                raise SparqlUnsupportedError(f"bad literal {token}") from exc
         else:
             lit = LiteralValue("string", token[1:-1].replace('\\"', '"'))
         return ("lit", lit)
     raise SparqlUnsupportedError(f"unsupported term {token!r}")
-
-
-def _typed_literal(body: str, tag: str) -> LiteralValue:
-    try:
-        if tag in _CANON_INT_TAGS:
-            return LiteralValue("integer", int(body), tag)
-        if tag in _CANON_FLOAT_TAGS:
-            return LiteralValue("float", float(body), tag)
-        if tag in _CANON_DT_TAGS:
-            return LiteralValue("datetime", datetime.fromisoformat(body), tag)
-    except ValueError as exc:
-        raise SparqlUnsupportedError(f"bad literal {body!r}^^{tag}") from exc
-    return LiteralValue("string", body, tag)
-
-
-_CANON_INT_TAGS = {"integer", "int", "long"}
-_CANON_FLOAT_TAGS = {"float", "double", "decimal"}
-_CANON_DT_TAGS = {"datetime", "date"}
 
 
 class _SparqlParser:
@@ -519,7 +501,7 @@ def _match_pattern(store: TripleStore, rows: list[dict], subject, relation, obj)
                 new_row[subject[1]] = candidate
                 out.append(new_row)
         else:
-            for s_cand, o_cand in store.relation_pairs(relation):
+            for s_cand, _, o_cand in store.relation_triples(relation):
                 new_row = dict(row)
                 new_row[subject[1]] = s_cand
                 if obj[1] in new_row and new_row[obj[1]] != o_cand:
@@ -608,8 +590,7 @@ def _exec_query(query: dict, store: TripleStore):
         for row in rows:
             value = row.get(var)
             if value is not None:
-                key = value._identity() if isinstance(value, LiteralValue) else value
-                seen.add(key)
+                seen.add(value)
         return len(seen)
     raise SparqlUnsupportedError(f"unsupported header {header!r}")
 

@@ -19,14 +19,7 @@ from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 from .errors import NoCandidateError, ScorerProtocolError
 from .scorers import LineProcess
 from .sexpr import LogicalForm, print_canonical
-from .store import TripleStore, fold_surface
-
-_TOKEN_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?")
-
-
-def tokenize_text(text: str) -> list[str]:
-    """Lowercased word/number chunks; dots and underscores split names."""
-    return _TOKEN_RE.findall(text.lower())
+from .store import TripleStore, text_words
 
 
 @dataclass(frozen=True)
@@ -36,7 +29,7 @@ class Question:
 
     @staticmethod
     def of(text: str) -> "Question":
-        return Question(text, tuple(tokenize_text(text)))
+        return Question(text, tuple(text_words(text)))
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ class LexicalScorer:
         if corpus:
             df: dict[str, int] = {}
             for doc in corpus:
-                for token in set(tokenize_text(doc)):
+                for token in set(text_words(doc)):
                     df[token] = df.get(token, 0) + 1
             self._n_docs = len(corpus)
             for token, count in df.items():
@@ -116,7 +109,7 @@ class LexicalScorer:
 
     def score(self, question: Question, candidate_text: str) -> float:
         q_tokens = set(question.tokens)
-        c_tokens = set(tokenize_text(candidate_text))
+        c_tokens = set(text_words(candidate_text))
         union = q_tokens | c_tokens
         overlap = 0.0
         if union:
@@ -124,7 +117,7 @@ class LexicalScorer:
             union_weight = sum(self.idf(t) for t in union)
             overlap = common_weight / union_weight if union_weight else 0.0
         q_tri = _trigrams(" ".join(question.tokens))
-        c_tri = _trigrams(" ".join(tokenize_text(candidate_text)))
+        c_tri = _trigrams(" ".join(text_words(candidate_text)))
         tri = len(q_tri & c_tri) / len(q_tri | c_tri) if (q_tri or c_tri) else 0.0
         return overlap + 0.1 * tri
 

@@ -144,10 +144,15 @@ class LineProcess:
         self.command = command
         self.timeout = timeout
         self._proc: Optional[subprocess.Popen] = None
+        self._reader: Optional[threading.Thread] = None
         self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        # A failed request leaves its child killed and reaped, so poll()
+        # sees it; close its pipes before starting another.
+        if self._proc is not None and self._proc.poll() is not None:
+            self.close()
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 shlex.split(self.command), stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE, text=True, bufsize=1)
@@ -160,25 +165,45 @@ class LineProcess:
                 proc.stdin.write(line + "\n")
                 proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
+                proc.kill()
+                proc.wait()
                 raise ScorerProtocolError(f"scorer process died: {exc}") from exc
             response: list[str] = []
 
             def read():
                 response.append(proc.stdout.readline())
 
-            reader = threading.Thread(target=read, daemon=True)
-            reader.start()
-            reader.join(self.timeout)
-            if reader.is_alive() or not response or not response[0]:
+            self._reader = threading.Thread(target=read, daemon=True)
+            self._reader.start()
+            self._reader.join(self.timeout)
+            if self._reader.is_alive() or not response or not response[0]:
                 proc.kill()
+                proc.wait()
                 raise ScorerProtocolError(
                     f"no response from scorer process within {self.timeout}s")
             return response[0].rstrip("\n")
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
+        """Close the child's pipes and wait for it to exit; closing its
+        stdin ends a well-behaved child, and one that lingers is killed.
+        A stdout that a timed-out read still blocks on (a grandchild holds
+        it open) is left to that read, since closing it would wait too."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        pipes = [proc.stdin]
+        if self._reader is None or not self._reader.is_alive():
+            pipes.append(proc.stdout)
+        for pipe in pipes:
+            try:
+                pipe.close()
+            except OSError:  # flushing into a dead child's stdin
+                pass
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
 class ExternalTokenScorer:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import DataError, TripleParseError
 
@@ -141,8 +141,7 @@ def derive_label(name: str) -> str:
     return name.replace(".", " ").replace("_", " ")
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     relation: str
     object: Object
@@ -155,18 +154,19 @@ class EntityMeta:
     popularity: float = 0.0
 
 
-def _obj_key(obj: Object):
-    if isinstance(obj, LiteralValue):
-        return obj._identity()
-    return obj
+_WORD_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?")
 
 
-_ALIAS_FOLD_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?")
+def text_words(text: str) -> list[str]:
+    """Lowercased word and number chunks; dots and underscores split
+    names. Alias folding, mention detection and the vocabulary all split
+    text with this, so that a question's words can find an alias."""
+    return _WORD_RE.findall(text.lower())
 
 
 def fold_surface(text: str) -> str:
     """Case-fold and whitespace/punctuation-normalize an alias surface."""
-    return " ".join(_ALIAS_FOLD_RE.findall(text.lower()))
+    return " ".join(text_words(text))
 
 
 def reduce_iri(iri: str) -> str:
@@ -187,8 +187,8 @@ class StoreBuilder:
 
     def __init__(self, type_relation: str = "type_rel"):
         self.type_relation = type_relation
-        self._triples: list[Triple] = []
-        self._seen: set = set()
+        # Insertion-ordered; a literal object dedupes on its identity.
+        self._triples: dict[Triple, None] = {}
         self._catalog: dict[str, SchemaItem] = {}
         self._labels: dict[str, str] = {}
         self._alias_rows: list[tuple[str, str, float]] = []
@@ -222,11 +222,10 @@ class StoreBuilder:
     def add_triple(self, subject: str, relation: str, obj: Object) -> None:
         if not subject or not relation:
             raise DataError("triple needs non-empty subject and relation")
-        key = (subject, relation, _obj_key(obj))
-        if key in self._seen:
+        triple = Triple(subject, relation, obj)
+        if triple in self._triples:
             return
-        self._seen.add(key)
-        self._triples.append(Triple(subject, relation, obj))
+        self._triples[triple] = None
         self._auto_relation(relation)
         if relation == self.type_relation and isinstance(obj, str):
             self._auto_class(obj)
@@ -296,6 +295,20 @@ class StoreBuilder:
     def set_entity_label(self, entity: str, label: str) -> None:
         self._labels[entity] = label
 
+    def load_labels(self, lines: Iterable[str],
+                    source: Optional[str] = None) -> "StoreBuilder":
+        """Label TSV: entity_id \\t label."""
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            entity, tab, label = line.partition("\t")
+            if not tab:
+                raise TripleParseError("expected entity id and label separated by a tab",
+                                       line_no, source)
+            self.set_entity_label(entity, label)
+        return self
+
     def add_alias(self, alias: str, entity: str, popularity: float) -> None:
         if popularity < 0:
             raise DataError(f"negative popularity for alias {alias!r}")
@@ -350,14 +363,14 @@ class TripleStore:
         self._catalog: dict[str, SchemaItem] = dict(builder._catalog)
 
         spo: dict[str, dict[str, set]] = {}
-        ops: dict[object, dict[str, set]] = {}
-        rel_pairs: dict[str, list[tuple[str, Object]]] = {}
+        ops: dict[Object, dict[str, set]] = {}
+        by_relation: dict[str, list[Triple]] = {}
         class_members: dict[str, set[str]] = {}
         entities: set[str] = set()
         for t in self._triples:
             spo.setdefault(t.subject, {}).setdefault(t.relation, set()).add(t.object)
-            ops.setdefault(_obj_key(t.object), {}).setdefault(t.relation, set()).add(t.subject)
-            rel_pairs.setdefault(t.relation, []).append((t.subject, t.object))
+            ops.setdefault(t.object, {}).setdefault(t.relation, set()).add(t.subject)
+            by_relation.setdefault(t.relation, []).append(t)
             entities.add(t.subject)
             if t.relation == self.type_relation and isinstance(t.object, str):
                 class_members.setdefault(t.object, set()).add(t.subject)
@@ -387,7 +400,7 @@ class TripleStore:
 
         self._spo = spo
         self._ops = ops
-        self._rel_pairs = rel_pairs
+        self._by_relation = by_relation
         self._class_members = {c: frozenset(m) for c, m in class_members.items()}
         self._entities = frozenset(entities)
         self._alias_index = alias_index
@@ -411,14 +424,6 @@ class TripleStore:
     def relations(self) -> list[str]:
         return sorted(n for n, it in self._catalog.items() if it.kind == "relation")
 
-    def is_class(self, name: str) -> bool:
-        item = self._catalog.get(name)
-        return item is not None and item.kind == "class"
-
-    def is_relation(self, name: str) -> bool:
-        item = self._catalog.get(name)
-        return item is not None and item.kind == "relation"
-
     def all_entities(self) -> frozenset[str]:
         return self._entities
 
@@ -428,40 +433,32 @@ class TripleStore:
     def has_node(self, node: Object) -> bool:
         """True when the entity or literal occurs anywhere in the store."""
         if isinstance(node, LiteralValue):
-            return _obj_key(node) in self._ops
+            return node in self._ops
         return node in self._entities
 
     # -- graph queries ---------------------------------------------------
 
-    def neighbors_out(self, subject: str, relation: Optional[str] = None
-                      ) -> set[tuple[str, Object]]:
-        by_rel = self._spo.get(subject, {})
-        if relation is not None:
-            return {(relation, o) for o in by_rel.get(relation, ())}
-        return {(r, o) for r, objs in by_rel.items() for o in objs}
+    def neighbors_out(self, subject: str) -> set[tuple[str, Object]]:
+        return {(r, o) for r, objs in self._spo.get(subject, {}).items() for o in objs}
 
-    def neighbors_in(self, obj: Object, relation: Optional[str] = None
-                     ) -> set[tuple[str, str]]:
-        by_rel = self._ops.get(_obj_key(obj), {})
-        if relation is not None:
-            return {(relation, s) for s in by_rel.get(relation, ())}
-        return {(r, s) for r, subs in by_rel.items() for s in subs}
+    def neighbors_in(self, obj: Object) -> set[tuple[str, str]]:
+        return {(r, s) for r, subs in self._ops.get(obj, {}).items() for s in subs}
 
     def objects_of(self, subject: str, relation: str) -> set:
         return set(self._spo.get(subject, {}).get(relation, ()))
 
     def subjects_of(self, obj: Object, relation: str) -> set[str]:
-        return set(self._ops.get(_obj_key(obj), {}).get(relation, ()))
+        return set(self._ops.get(obj, {}).get(relation, ()))
 
-    def relation_pairs(self, relation: str) -> list[tuple[str, Object]]:
-        return list(self._rel_pairs.get(relation, ()))
+    def relation_triples(self, relation: str) -> list[Triple]:
+        return list(self._by_relation.get(relation, ()))
 
     def instances_of(self, class_name: str) -> frozenset[str]:
         return self._class_members.get(class_name, frozenset())
 
     def entity_relations(self, entity: str) -> set[str]:
         rels = set(self._spo.get(entity, {}))
-        rels.update(self._ops.get(_obj_key(entity), {}))
+        rels.update(self._ops.get(entity, {}))
         return rels
 
     # -- entity metadata ---------------------------------------------------
@@ -504,12 +501,3 @@ class TripleStore:
             meta = self._meta[entity]
             if meta.label:
                 yield f"{entity}\t{meta.label}"
-
-
-def load_triples(lines: Iterable[str], fmt: str = "tsv3",
-                 type_relation: str = "type_rel",
-                 builder: Optional[StoreBuilder] = None) -> StoreBuilder:
-    """Ingest a line-oriented triple stream into a (new) builder."""
-    if builder is None:
-        builder = StoreBuilder(type_relation=type_relation)
-    return builder.load_triples(lines, fmt=fmt)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import TokenizeError
 from .sexpr import (And, ArgMax, ArgMin, ClassRef, Compare, Count, EntityRef,
                     Join, LiteralRef, LogicalForm, Reverse, parse)
-from .store import LiteralValue, TripleStore
+from .store import LiteralValue, TripleStore, text_words
 
 BEGIN = "<s>"
 END = "</s>"
@@ -41,7 +41,6 @@ DIGITS = tuple("0123456789")
 TYPE_TAGS = ("float", "integer")
 
 _NAME_SEGMENT_RE = re.compile(r"[A-Za-z0-9]+")
-_WORD_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?")
 _NUMBER_WORD_RE = re.compile(r"\d+(?:\.\d+)?")
 
 
@@ -157,10 +156,6 @@ def tokenize_literal(lit: LiteralValue) -> list[str]:
             raise TokenizeError(f"literal tag {lit.type_tag!r} is not decodable")
         tokens.extend(["^^", lit.type_tag])
     return tokens
-
-
-def text_words(text: str) -> list[str]:
-    return _WORD_RE.findall(text.lower())
 
 
 def build_vocabulary(store: TripleStore,

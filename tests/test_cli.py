@@ -143,7 +143,7 @@ def test_exit_codes(kb_files, tmp_path, capsys):
                 str(tmp_path / "nope.jsonl")]) in (1, 2)
 
 
-def test_decode_records_stage_errors(kb_files, dataset, capsys):
+def test_decode_records_stage_errors(kb_files, dataset, capsys, popen_children):
     # a generation scorer whose process exits at once fails every decode
     dead = f"extern:{sys.executable} -c pass"
     assert run(["decode", "--kb", kb_files["kb"], "--aliases", kb_files["aliases"],
@@ -153,6 +153,20 @@ def test_decode_records_stage_errors(kb_files, dataset, capsys):
     for record in records:
         assert record["hypotheses"] == []
         assert "scorer" in record["stage_errors"]["decode"]
+    # every child the command started is closed and reaped when it ends
+    assert len(popen_children) == 2
+    for child in popen_children:
+        assert child.stdin.closed and child.stdout.closed
+        assert child.returncode is not None
+
+
+def test_malformed_labels_file_is_a_data_error(kb_files, tmp_path, capsys):
+    out_dir = tmp_path / "store"
+    assert run(["ingest", "--kb", kb_files["kb"], "--aliases", kb_files["aliases"],
+                str(out_dir)]) == 0
+    (out_dir / "labels.tsv").write_text("e1 without a tab\n", encoding="utf-8")
+    assert run(["execute", "--kb", str(out_dir), "(COUNT sf.engine)"]) == 2
+    assert "labels.tsv:1" in capsys.readouterr().err
 
 
 def test_dump_context_flag(kb_files, dataset, tmp_path):

@@ -162,7 +162,7 @@ def test_argmin_subset_of_subexpression_attains_minimum(toy):
     assert answer.entities <= members
     values = {}
     for e in members:
-        vals = [o for _, o in toy.neighbors_out(e, "sf.chamber_pressure")]
+        vals = toy.objects_of(e, "sf.chamber_pressure")
         if vals:
             values[e] = min(float(v.value) for v in vals)
     global_min = min(values.values())

@@ -155,19 +155,22 @@ def test_every_encoded_form_replays(toy):
 
 
 def test_replay_check_over_random_walks():
-    """Every token of a grammar-guided random walk is inside allowed_next
-    at its emission step (masking semantics), and finished walks parse."""
+    """At every state of a grammar-guided random walk, allowed_next is
+    exactly the set of tokens advance accepts (masking semantics), and
+    finished walks parse."""
     ctx, store = make_ctx(linked=("e1", "ox1"))
+    vocabulary = range(ctx.vocab.size)
     rng = random.Random(8)
     finished = 0
     for _ in range(300):
         state = initial_state()
         ids = []
         for _ in range(60):
-            allowed = sorted(allowed_next(state, ctx))
+            allowed = allowed_next(state, ctx)
+            assert allowed == {t for t in vocabulary if advance(state, t, ctx) is not None}
             if not allowed:
                 break
-            token = rng.choice(allowed)
+            token = rng.choice(sorted(allowed))
             ids.append(token)
             new_state = advance(state, token, ctx)
             assert new_state is not None  # allowed implies legal

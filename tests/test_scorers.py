@@ -160,6 +160,18 @@ def test_external_token_scorer_wrong_arity():
         scorer.close()
 
 
+def test_dead_child_is_reaped_before_restart(popen_children):
+    scorer = ExternalTokenScorer(f"{sys.executable} -c pass", vocab_size=5)
+    for _ in range(3):
+        with pytest.raises(ScorerProtocolError):
+            scorer.next_log_probs((), ())
+    scorer.close()  # reaches only the third child; a restart reaps the others
+    assert len(popen_children) == 3
+    for child in popen_children:
+        assert child.stdin.closed and child.stdout.closed
+        assert child.returncode is not None
+
+
 def test_external_token_scorer_timeout():
     script = (
         "import sys, time\n"
@@ -167,5 +179,8 @@ def test_external_token_scorer_timeout():
         "    time.sleep(60)"
     )
     scorer = ExternalTokenScorer(_child(script), vocab_size=5, timeout=0.3)
-    with pytest.raises(ScorerProtocolError):
-        scorer.next_log_probs((), ())
+    try:
+        with pytest.raises(ScorerProtocolError):
+            scorer.next_log_probs((), ())
+    finally:
+        scorer.close()

@@ -74,6 +74,9 @@ def test_unsupported_construct_rejected(toy):
             "SELECT DISTINCT ?x WHERE { OPTIONAL { ?x <r> ?y . } }", toy)
     with pytest.raises(SparqlUnsupportedError):
         evaluate_sparql_subset("ASK { ?x <r> ?y . }", toy)
+    with pytest.raises(SparqlUnsupportedError):  # literal the store cannot parse
+        evaluate_sparql_subset(
+            'SELECT DISTINCT ?x WHERE { ?x <r> "12.5"^^<integer> . }', toy)
 
 
 def test_nested_count_not_compilable(toy):
@@ -141,3 +144,21 @@ def test_distinct_over_many_answers_is_linear():
     elapsed = time.perf_counter() - t0
     assert answer == evaluate(form, store) and len(answer.entities) == 20_000
     assert elapsed < 1.0, f"20k-answer DISTINCT took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("text", [
+    "(JOIN r 2001-01-01^^gYear)",
+    "(gt r 2001-06-01^^gYear)",
+    "(JOIN m 3^^myunit)",
+    "(lt m 5^^myunit)",
+])
+def test_differential_on_store_literal_tags(text):
+    """The subset evaluator reads a typed literal as the store does:
+    gYear is a datetime, and an unknown tag on a number keeps it a number."""
+    import io
+    from kbqa.store import StoreBuilder
+    store = StoreBuilder().load_triples(io.StringIO(
+        "a\tr\t2001-01-01^^gYear\nb\tr\t2002-01-01^^gYear\n"
+        "c\tm\t3^^myunit\nd\tm\t7^^myunit\ne\tm\t2.5^^myunit\n")).freeze()
+    differential(parse(text), store)
+    assert evaluate(parse(text), store).entities

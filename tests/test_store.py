@@ -4,8 +4,7 @@ import pytest
 
 from kbqa.errors import TripleParseError
 from kbqa.fixtures import TOY_TRIPLES, toy_aliases_tsv, toy_store, toy_triples_tsv
-from kbqa.store import (LiteralValue, StoreBuilder, load_triples,
-                        parse_literal, reduce_iri)
+from kbqa.store import LiteralValue, StoreBuilder, parse_literal, reduce_iri
 
 
 def fixture_scan(pred):
@@ -14,14 +13,15 @@ def fixture_scan(pred):
 
 
 def test_single_line_ingestion():
-    store = load_triples(io.StringIO("sys1\tms.length_units\te1\n")).freeze()
+    store = StoreBuilder().load_triples(io.StringIO("sys1\tms.length_units\te1\n")).freeze()
     assert len(store) == 1
     assert "ms.length_units" in store.catalog
     assert store.catalog["ms.length_units"].kind == "relation"
 
 
 def test_typed_literal_object():
-    store = load_triples(io.StringIO("eng1\tsf.chamber_pressure\t257.0^^float\n")).freeze()
+    store = StoreBuilder().load_triples(
+        io.StringIO("eng1\tsf.chamber_pressure\t257.0^^float\n")).freeze()
     (triple,) = list(store.triples())
     assert triple.object == LiteralValue("float", 257.0, "float")
     assert triple.object.kind == "float"
@@ -29,7 +29,7 @@ def test_typed_literal_object():
 
 
 def test_empty_stream():
-    store = load_triples(io.StringIO("")).freeze()
+    store = StoreBuilder().load_triples(io.StringIO("")).freeze()
     assert len(store) == 0
     assert store.neighbors_out("anything") == set()
     assert store.instances_of("no.such.class") == frozenset()
@@ -38,20 +38,20 @@ def test_empty_stream():
 
 def test_malformed_line_reports_line_number():
     with pytest.raises(TripleParseError) as err:
-        load_triples(io.StringIO("a\tb\tc\nbad line without tabs\n"))
+        StoreBuilder().load_triples(io.StringIO("a\tb\tc\nbad line without tabs\n"))
     assert err.value.line_no == 2
 
 
 def test_mixed_literal_kind_rejected():
     with pytest.raises(TripleParseError):
-        load_triples(io.StringIO("a\tr\t12.5^^integer\n"))
+        StoreBuilder().load_triples(io.StringIO("a\tr\t12.5^^integer\n"))
 
 
 def test_ntriples_subset():
     lines = io.StringIO(
         '<http://kb/e/sys1> <http://kb/r#ms.length_units> <http://kb/e/e1> .\n'
         '<eng1> <sf.chamber_pressure> "257.0"^^<float> .\n')
-    store = load_triples(lines, fmt="ntriples").freeze()
+    store = StoreBuilder().load_triples(lines, fmt="ntriples").freeze()
     assert store.neighbors_out("sys1") == {("ms.length_units", "e1")}
     assert ("sf.chamber_pressure", LiteralValue("float", 257.0, "float")) \
         in store.neighbors_out("eng1")
@@ -74,7 +74,7 @@ def test_neighbors_out_fixture(toy):
 
 def test_neighbors_in_fixture(toy):
     assert toy.neighbors_in("e1") == {("ms.length_units", "sys1")}
-    assert toy.neighbors_in("o", relation="absent_relation") == set()
+    assert toy.subjects_of("o", "absent_relation") == set()
 
 
 def test_neighbors_in_literal_start_point():
@@ -150,7 +150,7 @@ def test_alias_negative_popularity_rejected():
 
 
 def test_duplicate_triples_deduplicated():
-    store = load_triples(io.StringIO("a\tr\tb\na\tr\tb\n")).freeze()
+    store = StoreBuilder().load_triples(io.StringIO("a\tr\tb\na\tr\tb\n")).freeze()
     assert len(store) == 1
 
 
@@ -170,7 +170,7 @@ def test_degree_sums(toy):
 
 def test_dump_reingest_round_trip(toy):
     dumped = list(toy.dump_triples_tsv())
-    rebuilt = load_triples(iter(line + "\n" for line in dumped)).freeze()
+    rebuilt = StoreBuilder().load_triples(iter(line + "\n" for line in dumped)).freeze()
     assert set(rebuilt.triples()) == set(toy.triples())
     assert set(rebuilt.catalog) == set(toy.catalog)
     assert {n: i.kind for n, i in rebuilt.catalog.items()} == \
