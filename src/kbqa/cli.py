@@ -21,7 +21,8 @@ from .errors import DataError, KbqaError, ScorerProtocolError, UsageError
 from .executor import compile_sparql, evaluate, evaluate_sparql_subset
 from .fixtures import toy_store
 from .metrics import evaluate_dataset, render_report, report_to_json
-from .pipeline import Pipeline, PipelineConfig, Prediction, QAExample, load_dataset
+from .pipeline import (Pipeline, PipelineConfig, Prediction, QAExample, load_dataset,
+                       start_points)
 from .retrieve import (ConstantScorer, ExternalTextScorer, Question, Scorer,
                        TableScorer, build_lexical_scorer, link_question,
                        retrieve_schema)
@@ -234,17 +235,12 @@ def _read_dataset(path: str) -> list[QAExample]:
         return load_dataset(handle)
 
 
-class _Output:
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self._handle = open(path, "w", encoding="utf-8") if path else sys.stdout
-
-    def write(self, text: str) -> None:
-        self._handle.write(text)
-
-    def close(self) -> None:
-        if self.path:
-            self._handle.close()
+def _output(args):
+    """The --out file, closed when the command ends however it ends; or
+    stdout."""
+    if not args.out:
+        return sys.stdout
+    return args.closers.enter_context(open(args.out, "w", encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +270,11 @@ def cmd_ingest(args) -> int:
 def cmd_link(args) -> int:
     store = load_store(args)
     scorer = make_text_scorer(args, store)
-    out = _Output(args.out)
+    out = _output(args)
     for example in _read_dataset(args.dataset):
         question = Question.of(example.question)
         for link in link_question(question, store, scorer, args.max_mention_len):
             out.write(json.dumps(link.to_json(example.qid)) + "\n")
-    out.close()
     return 0
 
 
@@ -287,24 +282,21 @@ def cmd_enumerate(args) -> int:
     store = load_store(args)
     scorer = make_text_scorer(args, store)
     cfg = EnumConfig(hop_limit=args.hop_limit, max_candidates=args.max_candidates)
-    pipeline_cfg = PipelineConfig(max_mention_len=args.max_mention_len, enum=cfg)
-    pipe = Pipeline(store, pipeline_cfg, text_scorer=scorer)
-    out = _Output(args.out)
+    out = _output(args)
     for example in _read_dataset(args.dataset):
         question = Question.of(example.question)
-        links = pipe.link(question)
-        for lf in enumerate_elfs(pipe.starts(question, links), store, cfg):
+        links = link_question(question, store, scorer, args.max_mention_len)
+        for lf in enumerate_elfs(start_points(question, links), store, cfg):
             answer = evaluate(lf, store)
             size = answer.number if answer.kind == "number" else len(answer.entities)
             out.write(f"{example.qid}\t{print_canonical(lf)}\t{size}\n")
-    out.close()
     return 0
 
 
 def cmd_retrieve_schema(args) -> int:
     store = load_store(args)
     scorer = make_text_scorer(args, store)
-    out = _Output(args.out)
+    out = _output(args)
     for example in _read_dataset(args.dataset):
         question = Question.of(example.question)
         classes, relations = retrieve_schema(question, store, scorer, args.top_schema)
@@ -313,7 +305,6 @@ def cmd_retrieve_schema(args) -> int:
             "classes": [{"name": c.text(), "score": c.score} for c in classes],
             "relations": [{"name": r.text(), "score": r.score} for r in relations],
         }) + "\n")
-    out.close()
     return 0
 
 
@@ -322,7 +313,7 @@ def cmd_decode(args) -> int:
     examples = _read_dataset(args.dataset)
     pipe = make_pipeline(args, store,
                          extra_vocab_texts=[e.question for e in examples])
-    out = _Output(args.out)
+    out = _output(args)
     for example in examples:
         prepared = pipe.prepare(example.question)
         record = {
@@ -335,7 +326,6 @@ def cmd_decode(args) -> int:
         if prepared.stage_errors:
             record["stage_errors"] = prepared.stage_errors
         out.write(json.dumps(record) + "\n")
-    out.close()
     return 0
 
 
@@ -373,10 +363,9 @@ def cmd_predict(args) -> int:
     pipe = make_pipeline(args, store,
                          extra_vocab_texts=[e.question for e in examples])
     predictions = pipe.predict_batch(examples, workers=args.workers)
-    out = _Output(args.out)
+    out = _output(args)
     for prediction in predictions:
         out.write(json.dumps(prediction.to_json()) + "\n")
-    out.close()
     return 0
 
 
@@ -387,9 +376,8 @@ def cmd_eval(args) -> int:
                        for line in handle if line.strip()]
     report = evaluate_dataset(examples, predictions, rng_seed=args.seed)
     output = render_report(report) if args.text else report_to_json(report)
-    out = _Output(args.out)
+    out = _output(args)
     out.write(output + "\n")
-    out.close()
     return 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import sexpr
 from .errors import EvalError, EvalTypeError, SexprParseError, SparqlUnsupportedError, UnsupportedFormError
@@ -75,6 +75,23 @@ def _cmp_values(a: LiteralValue, b: LiteralValue) -> Optional[int]:
 _CMP_ACCEPT = {"lt": (-1,), "le": (-1, 0), "gt": (1,), "ge": (1, 0)}
 
 
+def _extremum(lf: Union[ArgMin, ArgMax],
+              values: Iterable[LiteralValue]) -> Optional[LiteralValue]:
+    """The first least (ARGMIN) or greatest (ARGMAX) of the values, None
+    when there are none; EvalTypeError when two are incomparable."""
+    best: Optional[LiteralValue] = None
+    for value in values:
+        if best is None:
+            best = value
+            continue
+        sign = _cmp_values(value, best)
+        if sign is None:
+            raise EvalTypeError(f"mixed literal kinds under relation {lf.relation}")
+        if (sign < 0) == isinstance(lf, ArgMin) and sign != 0:
+            best = value
+    return best
+
+
 def _eval_set(lf: LogicalForm, store: TripleStore) -> frozenset:
     if isinstance(lf, EntityRef):
         return frozenset([lf.entity]) if store.has_entity(lf.entity) else frozenset()
@@ -113,36 +130,15 @@ def _eval_set(lf: LogicalForm, store: TripleStore) -> frozenset:
         for member in members:
             if not isinstance(member, str):
                 continue
-            best: Optional[LiteralValue] = None
-            for obj in store.objects_of(member, lf.relation):
-                if not isinstance(obj, LiteralValue):
-                    continue
-                if not (obj.is_numeric() or obj.kind == "datetime"):
-                    continue
-                if best is None:
-                    best = obj
-                    continue
-                sign = _cmp_values(obj, best)
-                if sign is None:
-                    raise EvalTypeError(
-                        f"mixed literal kinds under relation {lf.relation}")
-                if (sign < 0) == isinstance(lf, ArgMin) and sign != 0:
-                    best = obj
+            best = _extremum(lf, (
+                obj for obj in store.objects_of(member, lf.relation)
+                if isinstance(obj, LiteralValue)
+                and (obj.is_numeric() or obj.kind == "datetime")))
             if best is not None:
                 per_entity[member] = best
         if not per_entity:
             return frozenset()
-        extremum: Optional[LiteralValue] = None
-        for value in per_entity.values():
-            if extremum is None:
-                extremum = value
-                continue
-            sign = _cmp_values(value, extremum)
-            if sign is None:
-                raise EvalTypeError(
-                    f"mixed literal kinds under relation {lf.relation}")
-            if (sign < 0) == isinstance(lf, ArgMin) and sign != 0:
-                extremum = value
+        extremum = _extremum(lf, per_entity.values())
         return frozenset(
             e for e, v in per_entity.items() if _cmp_values(v, extremum) == 0)
     if isinstance(lf, Count):

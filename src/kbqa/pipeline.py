@@ -201,12 +201,12 @@ class PipelineConfig:
     dump_context: bool = False
 
 
-def question_literal_starts(question: Question,
-                            links: Sequence[LinkedEntity]) -> list[StartPoint]:
-    """Numbers mentioned in the question are enumeration start points,
-    except those inside a linked entity's mention."""
+def start_points(question: Question,
+                 links: Sequence[LinkedEntity]) -> list[StartPoint]:
+    """Enumeration start points: the linked entities, then the numbers
+    mentioned in the question outside every linked entity's mention."""
+    starts = [StartPoint.entity(link.entity) for link in links]
     linked = {i for link in links for i in range(link.mention.start, link.mention.end)}
-    starts = []
     for i, token in enumerate(question.tokens):
         if i not in linked and NUMBER_RE.fullmatch(token):
             starts.append(StartPoint.literal(LiteralValue("float", float(token))))
@@ -272,12 +272,6 @@ class Pipeline:
         return link_question(question, self.store, self.text_scorer,
                              self.cfg.max_mention_len)
 
-    def starts(self, question: Question,
-               links: Sequence[LinkedEntity]) -> list[StartPoint]:
-        starts = [StartPoint.entity(link.entity) for link in links]
-        starts.extend(question_literal_starts(question, links))
-        return starts
-
     def prepare(self, question_text: str) -> Prepared:
         """Link, enumerate, retrieve and assemble. A failed stage before
         assembly degrades to its empty result, recorded under its stage
@@ -287,7 +281,7 @@ class Pipeline:
         question = Question.of(question_text)
         links = _timed_stage(timing, "link", lambda: self.link(question), errors, [])
         elfs = _timed_stage(timing, "enumerate", lambda: enumerate_elfs(
-            self.starts(question, links), self.store, self.cfg.enum), errors, [])
+            start_points(question, links), self.store, self.cfg.enum), errors, [])
 
         def retrieve():
             ranked = rank_elfs(question, elfs, self.text_scorer, self.cfg.top_elf)

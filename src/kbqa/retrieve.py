@@ -276,8 +276,8 @@ def rank_elfs(question: Question, elfs: Sequence[LogicalForm], scorer: Scorer,
               k: int) -> list[ScoredCandidate]:
     """Top-k candidate logical forms by scorer value over their
     canonical prints; ties break by print."""
-    scored = [(-scorer.score(question, print_canonical(lf)), print_canonical(lf), lf)
-              for lf in elfs]
+    texts = [print_canonical(lf) for lf in elfs]
+    scored = [(-scorer.score(question, text), text, lf) for text, lf in zip(texts, elfs)]
     scored.sort(key=lambda item: (item[0], item[1]))
     return [ScoredCandidate(lf, -neg) for neg, _, lf in scored[:k]]
 

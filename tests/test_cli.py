@@ -160,6 +160,17 @@ def test_decode_records_stage_errors(kb_files, dataset, capsys, popen_children):
         assert child.returncode is not None
 
 
+def test_failed_command_closes_its_out_file(dataset, tmp_path, popen_children):
+    # a retrieval scorer whose process exits at once fails the command
+    # part-way, after --out is open; the file must be closed regardless
+    out = tmp_path / "out.jsonl"
+    dead = f"extern:{sys.executable} -c pass"
+    assert run(["link", "--kb", "toy:", "--retrieval-scorer", dead,
+                "--out", str(out), dataset]) == 3
+    assert out.read_text(encoding="utf-8") == ""
+    assert len(popen_children) == 1 and popen_children[0].returncode is not None
+
+
 def test_malformed_labels_file_is_a_data_error(kb_files, tmp_path, capsys):
     out_dir = tmp_path / "store"
     assert run(["ingest", "--kb", kb_files["kb"], "--aliases", kb_files["aliases"],

@@ -6,7 +6,7 @@ from kbqa.errors import EvalTypeError
 from kbqa.executor import AnswerSet, evaluate, is_valid_prediction
 from kbqa.fixtures import TOY_TRIPLES, random_store, toy_store
 from kbqa.sexpr import And, ClassRef, Count, parse
-from kbqa.store import LiteralValue, StoreBuilder
+from kbqa.store import LiteralValue, StoreBuilder, parse_literal
 
 from randgen import StorePools, random_exec_ast
 
@@ -102,6 +102,19 @@ def test_argmin_multivalued_uses_per_entity_minimum():
     store = builder.freeze()
     assert evaluate(parse("(ARGMIN k.c k.c.v)"), store).entities == {"a"}
     assert evaluate(parse("(ARGMAX k.c k.c.v)"), store).entities == {"a"}
+    # a number and a datetime are incomparable, under one entity ...
+    builder = StoreBuilder()
+    builder.add_triple("a", "type_rel", "k.c")
+    builder.add_triple("b", "type_rel", "k.c")
+    builder.add_triple("a", "k.c.w", LiteralValue("float", 1.0))
+    builder.add_triple("a", "k.c.w", parse_literal("2001-01-05^^datetime"))
+    # ... and across two entities
+    builder.add_triple("a", "k.c.x", LiteralValue("float", 1.0))
+    builder.add_triple("b", "k.c.x", parse_literal("2001-01-05^^datetime"))
+    store = builder.freeze()
+    for form in ("(ARGMIN k.c k.c.w)", "(ARGMAX k.c k.c.x)"):
+        with pytest.raises(EvalTypeError, match="mixed literal kinds"):
+            evaluate(parse(form), store)
 
 
 def test_compare_with_non_numeric_literal_is_type_error(toy):

@@ -4,6 +4,7 @@ from kbqa.fixtures import toy_store
 from kbqa.grammar import (DecodeContext, advance, allowed_next, initial_state,
                           render_tokens)
 from kbqa.sexpr import parse, print_canonical, validate_schema
+from kbqa.store import LiteralValue, StoreBuilder
 from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
 
@@ -154,35 +155,55 @@ def test_every_encoded_form_replays(toy):
         assert print_canonical(parse(rendered)) == print_canonical(parse(text))
 
 
+def prefix_store():
+    """A store where the complete names r.a and c.x are each a prefix of
+    another name, so their trie nodes are terminal and have children."""
+    builder = StoreBuilder()
+    builder.add_triple("e1", "type_rel", "c.x")
+    builder.add_triple("e2", "type_rel", "c.x_y")
+    builder.add_triple("e1", "r.a", "e2")
+    builder.add_triple("e2", "r.a_b", "e1")
+    builder.add_triple("e2", "r.a_b", LiteralValue("float", 3.0))
+    return builder.freeze()
+
+
 def test_replay_check_over_random_walks():
     """At every state of a grammar-guided random walk, allowed_next is
-    exactly the set of tokens advance accepts (masking semantics), and
+    exactly the set of tokens advance accepts (masking semantics) and
+    equals the mask of a fresh context (the memo is exact), and
     finished walks parse."""
-    ctx, store = make_ctx(linked=("e1", "ox1"))
-    vocabulary = range(ctx.vocab.size)
-    rng = random.Random(8)
-    finished = 0
-    for _ in range(300):
-        state = initial_state()
-        ids = []
-        for _ in range(60):
-            allowed = allowed_next(state, ctx)
-            assert allowed == {t for t in vocabulary if advance(state, t, ctx) is not None}
-            if not allowed:
-                break
-            token = rng.choice(sorted(allowed))
-            ids.append(token)
-            new_state = advance(state, token, ctx)
-            assert new_state is not None  # allowed implies legal
-            state = new_state
-            if state.finished:
-                break
-        if state is not None and state.finished:
-            finished += 1
-            text = render_tokens(ids, ctx)
-            form = parse(text)
-            assert validate_schema(form, store) == []
-    assert finished > 50
+    for store, linked in [(toy_store(), ("e1", "ox1")), (prefix_store(), ("e1", "e2"))]:
+        ctx, store = make_ctx(store, linked)
+        vocabulary = range(ctx.vocab.size)
+        rng = random.Random(8)
+        finished = 0
+        open_terminals = 0  # visits to a complete name that can go on
+        for _ in range(300):
+            state = initial_state()
+            ids = []
+            for _ in range(60):
+                allowed = allowed_next(state, ctx)
+                assert allowed == {t for t in vocabulary if advance(state, t, ctx) is not None}
+                fresh = DecodeContext(ctx.vocab, ctx.class_trie, ctx.rel_trie, linked)
+                assert allowed == allowed_next(state, fresh)
+                if state.cursor is not None and state.cursor.terminal and state.cursor.children:
+                    open_terminals += 1
+                if not allowed:
+                    break
+                token = rng.choice(sorted(allowed))
+                ids.append(token)
+                new_state = advance(state, token, ctx)
+                assert new_state is not None  # allowed implies legal
+                state = new_state
+                if state.finished:
+                    break
+            if state is not None and state.finished:
+                finished += 1
+                text = render_tokens(ids, ctx)
+                form = parse(text)
+                assert validate_schema(form, store) == []
+        assert finished > 50
+    assert open_terminals > 0
 
 
 def test_renders_tokens_rejects_ungrammatical():

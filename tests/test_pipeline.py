@@ -5,7 +5,7 @@ import pytest
 from kbqa.enumerator import EnumConfig
 from kbqa.fixtures import case_disconnected_relation, toy_store
 from kbqa.pipeline import (Pipeline, PipelineConfig, Prediction, QAExample,
-                           assemble_context, load_dataset)
+                           assemble_context, load_dataset, start_points)
 from kbqa.retrieve import LexicalScorer, LinkedEntity, Mention, Question, rank_elfs
 from kbqa.scorers import OracleScorer, UniformScorer
 from kbqa.sexpr import canonicalize, parse, print_canonical
@@ -50,7 +50,7 @@ def test_elf_fallback_provenance(toy):
     # and it is the top-ranked exemplary form for this question
     question = Question.of(QUESTION_ONE)
     from kbqa.enumerator import enumerate_elfs
-    elfs = enumerate_elfs(pipe.starts(question, pipe.link(question)), toy,
+    elfs = enumerate_elfs(start_points(question, pipe.link(question)), toy,
                           pipe.cfg.enum)
     ranked = rank_elfs(question, elfs, pipe.text_scorer, pipe.cfg.top_elf)
     assert prediction.logical_form == print_canonical(canonicalize(
@@ -300,7 +300,7 @@ def test_number_inside_a_linked_mention_is_not_a_literal_start():
     question = Question.of(text)
     links = pipe.link(question)
     assert [link.entity for link in links] == ["m.00880"]
-    assert all(start.kind == "entity" for start in pipe.starts(question, links))
+    assert all(start.kind == "entity" for start in start_points(question, links))
     prediction = pipe.predict(text, "ef880")
     assert prediction.provenance == "elf-fallback"
     assert "m.00880" in prediction.logical_form
