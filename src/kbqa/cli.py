@@ -21,15 +21,15 @@ from .errors import DataError, KbqaError, ScorerProtocolError, UsageError
 from .executor import compile_sparql, evaluate, evaluate_sparql_subset
 from .fixtures import toy_store
 from .metrics import evaluate_dataset, render_report, report_to_json
-from .pipeline import (Pipeline, PipelineConfig, Prediction, QAExample, load_dataset,
-                       start_points)
+from .pipeline import (Pipeline, PipelineConfig, Prediction, load_dataset,
+                       load_records, start_points)
 from .retrieve import (ConstantScorer, ExternalTextScorer, Question, Scorer,
                        TableScorer, build_lexical_scorer, link_question,
                        retrieve_schema)
 from .scorers import (ExternalTokenScorer, OracleScorer, UniformScorer,
                       ngram_scorer_from_forms)
 from .sexpr import canonicalize, parse, print_canonical
-from .store import StoreBuilder, TripleStore
+from .store import StoreBuilder, TripleStore, read_rows
 from .vocab import Vocabulary, encode_logical_form
 
 
@@ -115,53 +115,56 @@ def build_parser() -> argparse.ArgumentParser:
 # store / scorer loading
 
 
+def _dump_meta(store: TripleStore):
+    yield json.dumps({"type_relation": store.type_relation, "triples": len(store)})
+
+
+def _load_meta(builder: StoreBuilder, lines, source: str) -> None:
+    for meta in load_records(lines, source, dict, "store meta"):
+        builder.type_relation = meta.get("type_relation", builder.type_relation)
+
+
+# The files of a store directory in load order: each with the store's
+# dump that `kbqa ingest` writes and the builder's loader that reads it.
+_STORE_FILES = (
+    ("meta.json", _dump_meta, _load_meta),
+    ("triples.tsv", TripleStore.dump_triples_tsv, StoreBuilder.load_triples),
+    ("schema.tsv", TripleStore.dump_schema_tsv, StoreBuilder.load_schema),
+    ("labels.tsv", TripleStore.dump_labels_tsv, StoreBuilder.load_labels),
+    ("aliases.tsv", TripleStore.dump_aliases_tsv, StoreBuilder.load_aliases),
+)
+
+
+def _read(path, read, *args, **options):
+    """`read(*args, lines, source=path, **options)` over the file's lines."""
+    with open(path, encoding="utf-8") as handle:
+        return read(*args, handle, source=str(path), **options)
+
+
 def load_store(args) -> TripleStore:
     if not args.kb:
         raise UsageError("--kb is required for this command")
     path = Path(args.kb)
     if path == Path("toy:"):
         return toy_store()
+    builder = StoreBuilder(type_relation=args.type_relation)
     if path.is_dir():
-        builder = StoreBuilder(type_relation=_dump_type_relation(path, args.type_relation))
-        triples = path / "triples.tsv"
-        if not triples.exists():
+        if not (path / "triples.tsv").exists():
             raise DataError(f"store directory {path} has no triples.tsv")
-        with triples.open(encoding="utf-8") as handle:
-            builder.load_triples(handle, fmt="tsv3", source=str(triples))
-        schema = path / "schema.tsv"
-        if schema.exists():
-            with schema.open(encoding="utf-8") as handle:
-                builder.load_schema(handle, source=str(schema))
-        labels = path / "labels.tsv"
-        if labels.exists():
-            with labels.open(encoding="utf-8") as handle:
-                builder.load_labels(handle, source=str(labels))
-        aliases = path / "aliases.tsv"
-        if aliases.exists():
-            with aliases.open(encoding="utf-8") as handle:
-                builder.load_aliases(handle, source=str(aliases))
+        for name, _, load in _STORE_FILES:
+            if (path / name).exists():
+                _read(path / name, load, builder)
         return builder.freeze()
     if not path.exists():
         raise DataError(f"no such KB file: {path}")
     fmt = args.format or ("ntriples" if path.suffix == ".nt" else "tsv3")
-    builder = StoreBuilder(type_relation=args.type_relation)
-    with path.open(encoding="utf-8") as handle:
-        builder.load_triples(handle, fmt=fmt, source=str(path))
+    _read(path, builder.load_triples, fmt=fmt)
     if args.schema:
-        with open(args.schema, encoding="utf-8") as handle:
-            builder.load_schema(handle, source=args.schema)
+        _read(args.schema, builder.load_schema)
     if args.aliases:
-        with open(args.aliases, encoding="utf-8") as handle:
-            builder.load_aliases(handle, source=args.aliases)
+        _read(args.aliases, builder.load_aliases,
+              strict=getattr(args, "strict_aliases", False))
     return builder.freeze()
-
-
-def _dump_type_relation(path: Path, fallback: str) -> str:
-    meta = path / "meta.json"
-    if meta.exists():
-        with meta.open(encoding="utf-8") as handle:
-            return json.load(handle).get("type_relation", fallback)
-    return fallback
 
 
 def make_text_scorer(args, store: TripleStore) -> Scorer:
@@ -185,15 +188,17 @@ def make_token_scorer_factory(args):
     def factory(vocab: Vocabulary):
         if spec == "uniform":
             return UniformScorer(vocab.size)
-        if spec.startswith("ngram:"):
-            path = spec.split(":", 1)[1]
-            with open(path, encoding="utf-8") as handle:
-                forms = [line.strip() for line in handle if line.strip()]
-            return ngram_scorer_from_forms(forms, vocab, order=args.ngram_order)
-        if spec.startswith("oracle:"):
-            path = spec.split(":", 1)[1]
-            with open(path, encoding="utf-8") as handle:
-                forms = [line.strip() for line in handle if line.strip()]
+        if spec.startswith(("ngram:", "oracle:")):
+            kind, path = spec.split(":", 1)
+            forms = []
+
+            def read_form(line: str) -> None:
+                parse(line)  # a malformed form fails here, at its file and line
+                forms.append(line.strip())
+
+            _read(path, read_rows, parse_row=read_form)
+            if kind == "ngram":
+                return ngram_scorer_from_forms(forms, vocab, order=args.ngram_order)
             if not forms:
                 raise DataError(f"oracle file {path} is empty")
             targets = [tuple(encode_logical_form(vocab, f)) + (vocab.end_id,)
@@ -230,11 +235,6 @@ def make_pipeline(args, store: TripleStore,
                     extra_vocab_texts=extra_vocab_texts)
 
 
-def _read_dataset(path: str) -> list[QAExample]:
-    with open(path, encoding="utf-8") as handle:
-        return load_dataset(handle)
-
-
 def _output(args):
     """The --out file, closed when the command ends however it ends; or
     stdout."""
@@ -251,17 +251,9 @@ def cmd_ingest(args) -> int:
     store = load_store(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "triples.tsv").write_text(
-        "".join(line + "\n" for line in store.dump_triples_tsv()), encoding="utf-8")
-    (out_dir / "schema.tsv").write_text(
-        "".join(line + "\n" for line in store.dump_schema_tsv()), encoding="utf-8")
-    (out_dir / "aliases.tsv").write_text(
-        "".join(line + "\n" for line in store.dump_aliases_tsv()), encoding="utf-8")
-    (out_dir / "labels.tsv").write_text(
-        "".join(line + "\n" for line in store.dump_labels_tsv()), encoding="utf-8")
-    (out_dir / "meta.json").write_text(
-        json.dumps({"type_relation": store.type_relation,
-                    "triples": len(store)}) + "\n", encoding="utf-8")
+    for name, dump, _ in _STORE_FILES:
+        (out_dir / name).write_text(
+            "".join(line + "\n" for line in dump(store)), encoding="utf-8")
     print(f"ingested {len(store)} triples, "
           f"{len(store.catalog)} schema items -> {out_dir}")
     return 0
@@ -271,7 +263,7 @@ def cmd_link(args) -> int:
     store = load_store(args)
     scorer = make_text_scorer(args, store)
     out = _output(args)
-    for example in _read_dataset(args.dataset):
+    for example in _read(args.dataset, load_dataset):
         question = Question.of(example.question)
         for link in link_question(question, store, scorer, args.max_mention_len):
             out.write(json.dumps(link.to_json(example.qid)) + "\n")
@@ -283,7 +275,7 @@ def cmd_enumerate(args) -> int:
     scorer = make_text_scorer(args, store)
     cfg = EnumConfig(hop_limit=args.hop_limit, max_candidates=args.max_candidates)
     out = _output(args)
-    for example in _read_dataset(args.dataset):
+    for example in _read(args.dataset, load_dataset):
         question = Question.of(example.question)
         links = link_question(question, store, scorer, args.max_mention_len)
         for lf in enumerate_elfs(start_points(question, links), store, cfg):
@@ -297,7 +289,7 @@ def cmd_retrieve_schema(args) -> int:
     store = load_store(args)
     scorer = make_text_scorer(args, store)
     out = _output(args)
-    for example in _read_dataset(args.dataset):
+    for example in _read(args.dataset, load_dataset):
         question = Question.of(example.question)
         classes, relations = retrieve_schema(question, store, scorer, args.top_schema)
         out.write(json.dumps({
@@ -310,7 +302,7 @@ def cmd_retrieve_schema(args) -> int:
 
 def cmd_decode(args) -> int:
     store = load_store(args)
-    examples = _read_dataset(args.dataset)
+    examples = _read(args.dataset, load_dataset)
     pipe = make_pipeline(args, store,
                          extra_vocab_texts=[e.question for e in examples])
     out = _output(args)
@@ -359,7 +351,7 @@ def cmd_compile_sparql(args) -> int:
 
 def cmd_predict(args) -> int:
     store = load_store(args)
-    examples = _read_dataset(args.dataset)
+    examples = _read(args.dataset, load_dataset)
     pipe = make_pipeline(args, store,
                          extra_vocab_texts=[e.question for e in examples])
     predictions = pipe.predict_batch(examples, workers=args.workers)
@@ -370,10 +362,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    examples = _read_dataset(args.dataset)
-    with open(args.predictions, encoding="utf-8") as handle:
-        predictions = [Prediction.from_json(json.loads(line))
-                       for line in handle if line.strip()]
+    examples = _read(args.dataset, load_dataset)
+    predictions = _read(args.predictions, load_records,
+                        from_json=Prediction.from_json, what="prediction")
     report = evaluate_dataset(examples, predictions, rng_seed=args.seed)
     output = render_report(report) if args.text else report_to_json(report)
     out = _output(args)

@@ -18,13 +18,10 @@ class DataError(KbqaError):
 
 
 class TripleParseError(DataError):
-    def __init__(self, message, line_no=None, source=None):
-        where = ""
-        if source is not None:
-            where += f"{source}:"
-        if line_no is not None:
-            where += f"{line_no}: "
-        super().__init__(where + message)
+    """A malformed line of an input file, reported as `source:line_no: message`."""
+
+    def __init__(self, message, line_no, source=None):
+        super().__init__(f"{source}:{line_no}: {message}" if source else f"{line_no}: {message}")
         self.line_no = line_no
         self.source = source
 

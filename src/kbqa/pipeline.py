@@ -25,7 +25,7 @@ from .retrieve import (LinkedEntity, Question, ScoredCandidate, Scorer,
                        retrieve_schema)
 from .scorers import UniformScorer
 from .sexpr import canonicalize, parse, print_canonical
-from .store import NUMBER_RE, LiteralValue, TripleStore
+from .store import NUMBER_RE, LiteralValue, TripleStore, read_rows
 from .trie import SchemaTrie, build_trie
 from .vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, Vocabulary,
                     build_vocabulary, encode_logical_form, encode_text,
@@ -50,16 +50,26 @@ class QAExample:
         )
 
 
-def load_dataset(lines: Iterable[str]) -> list[QAExample]:
-    examples = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+def load_records(lines: Iterable[str], source: Optional[str],
+                 from_json: Callable[[dict], object], what: str) -> list:
+    """`from_json` of each JSONL row; errors name a bad `what` record."""
+    records = []
+
+    def parse_row(line: str) -> None:
         try:
-            examples.append(QAExample.from_json(json.loads(line)))
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"bad dataset record on line {line_no}: {exc}") from exc
-    return examples
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+            records.append(from_json(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad {what} record: {exc}") from exc
+
+    read_rows(lines, source, parse_row)
+    return records
+
+
+def load_dataset(lines: Iterable[str], source: Optional[str] = None) -> list[QAExample]:
+    return load_records(lines, source, QAExample.from_json, "dataset")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
-from .errors import NoCandidateError, ScorerProtocolError
+from .errors import DataError, NoCandidateError, ScorerProtocolError
 from .scorers import LineProcess
 from .sexpr import LogicalForm, print_canonical
 from .store import TripleStore, text_words
@@ -113,8 +113,9 @@ class LexicalScorer:
         union = q_tokens | c_tokens
         overlap = 0.0
         if union:
-            common_weight = sum(self.idf(t) for t in q_tokens & c_tokens)
-            union_weight = sum(self.idf(t) for t in union)
+            # fsum rounds once, so the sets' hash order cannot move ties.
+            common_weight = math.fsum(self.idf(t) for t in q_tokens & c_tokens)
+            union_weight = math.fsum(self.idf(t) for t in union)
             overlap = common_weight / union_weight if union_weight else 0.0
         q_tri = _trigrams(" ".join(question.tokens))
         c_tri = _trigrams(" ".join(text_words(candidate_text)))
@@ -158,7 +159,14 @@ class TableScorer:
     @staticmethod
     def from_json_file(path: str) -> "TableScorer":
         with open(path, encoding="utf-8") as handle:
-            return TableScorer(json.load(handle))
+            try:
+                scores = json.load(handle)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from exc
+        if not isinstance(scores, dict) or not all(
+                type(score) in (int, float) for score in scores.values()):
+            raise DataError(f"{path}: expected a JSON object of numbers")
+        return TableScorer(scores)
 
 
 class ExternalTextScorer:

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import DataError, TripleParseError
 
@@ -182,6 +182,43 @@ _NT_RE = re.compile(
 )
 
 
+def read_rows(lines: Iterable[str], source: Optional[str],
+              parse_row: Callable[[str], None], comments: bool = False) -> None:
+    """The one loop over the lines of an input file. Lines are numbered
+    from 1; blank lines are skipped, and so are `#` lines when the
+    format allows comments. Each other line, without its newline, goes
+    to `parse_row`; a ValueError, KeyError or DataError it raises
+    becomes a TripleParseError that names the file and the line."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or comments and line.lstrip().startswith("#"):
+            continue
+        try:
+            parse_row(line)
+        except (ValueError, KeyError, DataError) as exc:
+            raise TripleParseError(str(exc), line_no, source) from exc
+
+
+def _tab_fields(line: str, count: int = 3) -> list[str]:
+    parts = line.split("\t")
+    if len(parts) != count:
+        raise DataError(f"expected {count} tab-separated fields, got {len(parts)}")
+    return parts
+
+
+def _ntriples_fields(line: str) -> tuple[str, str, str]:
+    match = _NT_RE.match(line.strip())
+    if not match:
+        raise DataError("malformed N-Triples line")
+    obj_text = match.group(3)
+    if obj_text.startswith("<") and obj_text.endswith(">"):
+        obj_text = reduce_iri(obj_text[1:-1])
+    elif "^^" in obj_text:
+        payload, tag = obj_text.rsplit("^^", 1)
+        obj_text = f"{payload}^^{reduce_iri(tag.strip('<>'))}"
+    return reduce_iri(match.group(1)), reduce_iri(match.group(2)), obj_text
+
+
 class StoreBuilder:
     """Single-writer ingestion state; call freeze() when done."""
 
@@ -209,13 +246,9 @@ class StoreBuilder:
             return
         self._catalog[item.name] = item
 
-    def _auto_relation(self, name: str) -> None:
+    def _register(self, kind: str, name: str) -> None:
         if name not in self._catalog:
-            self._catalog[name] = SchemaItem("relation", name)
-
-    def _auto_class(self, name: str) -> None:
-        if name not in self._catalog:
-            self._catalog[name] = SchemaItem("class", name)
+            self._catalog[name] = SchemaItem(kind, name)
 
     # -- triples -------------------------------------------------------
 
@@ -226,68 +259,36 @@ class StoreBuilder:
         if triple in self._triples:
             return
         self._triples[triple] = None
-        self._auto_relation(relation)
+        self._register("relation", relation)
         if relation == self.type_relation and isinstance(obj, str):
-            self._auto_class(obj)
+            self._register("class", obj)
 
     def load_triples(self, lines: Iterable[str], fmt: str = "tsv3",
                      source: Optional[str] = None) -> "StoreBuilder":
         if fmt not in ("tsv3", "ntriples"):
             raise DataError(f"unknown triple format: {fmt!r}")
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if fmt == "tsv3":
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise TripleParseError(
-                        f"expected 3 tab-separated fields, got {len(parts)}",
-                        line_no, source)
-                subject, relation, obj_text = parts
-            else:
-                match = _NT_RE.match(line.strip())
-                if not match:
-                    raise TripleParseError("malformed N-Triples line", line_no, source)
-                subject = reduce_iri(match.group(1))
-                relation = reduce_iri(match.group(2))
-                obj_text = match.group(3)
-                if obj_text.startswith("<") and obj_text.endswith(">"):
-                    obj_text = reduce_iri(obj_text[1:-1])
-                elif "^^" in obj_text:
-                    payload, tag = obj_text.rsplit("^^", 1)
-                    tag = reduce_iri(tag.strip("<>"))
-                    obj_text = f"{payload}^^{tag}"
-            try:
-                literal = parse_literal(obj_text)
-            except ValueError as exc:
-                raise TripleParseError(str(exc), line_no, source) from exc
-            obj: Object = literal if literal is not None else obj_text
-            if isinstance(obj, str) and not obj:
-                raise TripleParseError("empty object field", line_no, source)
-            try:
-                self.add_triple(subject, relation, obj)
-            except DataError as exc:
-                raise TripleParseError(str(exc), line_no, source) from exc
+        split = _tab_fields if fmt == "tsv3" else _ntriples_fields
+
+        def parse_row(line: str) -> None:
+            subject, relation, obj_text = split(line)
+            literal = parse_literal(obj_text)
+            if literal is None and not obj_text:
+                raise DataError("empty object field")
+            self.add_triple(subject, relation, obj_text if literal is None else literal)
+
+        read_rows(lines, source, parse_row, comments=True)
         return self
 
     def load_schema(self, lines: Iterable[str], source: Optional[str] = None) -> "StoreBuilder":
         """Schema TSV: kind \\t name [\\t label [\\t domain \\t range]]."""
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        def parse_row(line: str) -> None:
             parts = line.split("\t")
             if len(parts) < 2:
-                raise TripleParseError("expected at least kind and name", line_no, source)
-            kind, name = parts[0], parts[1]
-            label = parts[2] if len(parts) > 2 and parts[2] else ""
-            domain = parts[3] if len(parts) > 3 and parts[3] else None
-            range_ = parts[4] if len(parts) > 4 and parts[4] else None
-            try:
-                self.add_schema_item(SchemaItem(kind, name, label, domain, range_))
-            except (ValueError, DataError) as exc:
-                raise TripleParseError(str(exc), line_no, source) from exc
+                raise DataError("expected at least kind and name")
+            kind, name, label, domain, range_ = (parts + [""] * 3)[:5]
+            self.add_schema_item(SchemaItem(kind, name, label, domain or None, range_ or None))
+
+        read_rows(lines, source, parse_row, comments=True)
         return self
 
     # -- entity metadata -----------------------------------------------
@@ -298,15 +299,13 @@ class StoreBuilder:
     def load_labels(self, lines: Iterable[str],
                     source: Optional[str] = None) -> "StoreBuilder":
         """Label TSV: entity_id \\t label."""
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
+        def parse_row(line: str) -> None:
             entity, tab, label = line.partition("\t")
             if not tab:
-                raise TripleParseError("expected entity id and label separated by a tab",
-                                       line_no, source)
+                raise DataError("expected entity id and label separated by a tab")
             self.set_entity_label(entity, label)
+
+        read_rows(lines, source, parse_row)
         return self
 
     def add_alias(self, alias: str, entity: str, popularity: float) -> None:
@@ -316,36 +315,30 @@ class StoreBuilder:
 
     def load_aliases(self, lines: Iterable[str], strict: bool = False,
                      source: Optional[str] = None) -> "StoreBuilder":
-        """Alias TSV: alias \\t entity_id \\t popularity."""
-        known = {t.subject for t in self._triples}
-        for t in self._triples:
-            if isinstance(t.object, str) and t.relation != self.type_relation:
-                known.add(t.object)
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TripleParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}",
-                    line_no, source)
-            alias, entity, pop_text = parts
+        """Alias TSV: alias \\t entity_id \\t popularity. An alias of an
+        entity the store does not know is kept, or rejected under
+        `strict`."""
+        known = None
+        if strict:
+            known = set(self._labels)
+            for t in self._triples:
+                known.add(t.subject)
+                if isinstance(t.object, str) and t.relation != self.type_relation:
+                    known.add(t.object)
+
+        def parse_row(line: str) -> None:
+            alias, entity, pop_text = _tab_fields(line)
             try:
                 popularity = float(pop_text)
-            except ValueError as exc:
-                raise TripleParseError(f"bad popularity {pop_text!r}", line_no, source) from exc
+            except ValueError:
+                raise DataError(f"bad popularity {pop_text!r}") from None
             if popularity < 0 or not math.isfinite(popularity):
-                raise TripleParseError(
-                    f"popularity must be a non-negative real, got {pop_text}",
-                    line_no, source)
-            if entity not in known and entity not in self._labels:
-                if strict:
-                    raise TripleParseError(
-                        f"alias {alias!r} names unknown entity {entity!r}",
-                        line_no, source)
-                # warn-and-keep default: the alias still enters the index
+                raise DataError(f"popularity must be a non-negative real, got {pop_text}")
+            if known is not None and entity not in known:
+                raise DataError(f"alias {alias!r} names unknown entity {entity!r}")
             self.add_alias(alias, entity, popularity)
+
+        read_rows(lines, source, parse_row)
         return self
 
     # -- freeze ----------------------------------------------------------

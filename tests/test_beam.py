@@ -141,6 +141,38 @@ def test_deterministic_tie_break():
     assert [h.tokens for h in a] == [h.tokens for h in b]
 
 
+class ScriptedScorer:
+    """Fixed log-probs after each scripted prefix; -inf everywhere else."""
+    reentrant = True
+
+    def __init__(self, size, script):
+        self.size = size
+        self.script = script
+
+    def next_log_probs(self, context, prefix):
+        row = np.full(self.size, -np.inf)
+        for token, log_prob in self.script.get(tuple(prefix), {}).items():
+            row[token] = log_prob
+        return row
+
+
+def test_cross_parent_tie_breaks_by_token_sequence():
+    """(40, 50) and (30, 52) tie at -2.5 for the last beam slot. The one
+    whose tokens sort first survives, not the child of the better-scored
+    parent (40,)."""
+    ctx, _ = make_ctx()
+    end = ctx.end_id
+    assert end not in (30, 40, 50, 52) and ctx.vocab.size > 52
+    script = {(): {40: -1.0, 30: -1.2},
+              (40,): {end: -0.1, 50: -1.5},
+              (30,): {52: -1.3},
+              (30, 52): {end: 0.0},
+              (40, 50): {end: 0.0}}
+    hyps = beam_search(ScriptedScorer(ctx.vocab.size, script), (), ctx,
+                       constrained=False, beam_size=2, max_len=8)
+    assert [h.tokens for h in hyps] == [(40, end), (30, 52, end)]
+
+
 def test_dead_end_gives_empty_result():
     ctx, _ = make_ctx(extra=("bogus",))
     target = encode_target(ctx, "(ARGMIN sf.bogus sf.chamber_pressure)")

@@ -52,14 +52,42 @@ def test_compile_sparql_with_check(kb_files, capsys):
     assert '"answers": ["eng1"]' in out
 
 
+NT_KB = (
+    '<http://kb/e1> <http://kb/rdf_type> <http://kb/c.thing> .\n'
+    '<http://kb/e1> <http://kb/r.name> "one" .\n'
+    '<http://kb/e1> <http://kb/r.size> "3"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+    '<http://kb/e1> <http://kb/r.part> <http://kb/e2> .\n'
+)
+
+STORE_FILES = ("triples.tsv", "schema.tsv", "labels.tsv", "aliases.tsv", "meta.json")
+
+
 def test_ingest_round_trip(kb_files, dataset, tmp_path, capsys):
-    out_dir = tmp_path / "store"
-    assert run(["ingest", "--kb", kb_files["kb"], "--aliases", kb_files["aliases"],
-                str(out_dir)]) == 0
-    assert (out_dir / "triples.tsv").exists()
-    assert (out_dir / "meta.json").exists()
+    schema = tmp_path / "schema.tsv"
+    schema.write_text("# kind, name, label, domain, range\n"
+                      "relation\tms.length_units\tlength unit\tms.system\tms.unit\n",
+                      encoding="utf-8")
+    nt = tmp_path / "kb.nt"
+    nt.write_text(NT_KB, encoding="utf-8")
+    inputs = {
+        "tsv": ["--kb", kb_files["kb"], "--aliases", kb_files["aliases"],
+                "--schema", str(schema)],
+        "nt": ["--kb", str(nt), "--type-relation", "rdf_type"],
+    }
+    for name, kb_args in inputs.items():
+        first, second = tmp_path / f"{name}1", tmp_path / f"{name}2"
+        assert run(["ingest", *kb_args, str(first)]) == 0
+        # ingesting a dump again writes the same five files: a fixed point
+        assert run(["ingest", "--kb", str(first), str(second)]) == 0
+        for file in STORE_FILES:
+            assert (second / file).read_bytes() == (first / file).read_bytes(), (name, file)
+    assert "relation\tms.length_units\tlength unit\tms.system\tms.unit\n" in \
+        (tmp_path / "tsv1" / "schema.tsv").read_text(encoding="utf-8")
+    assert "class\tc.thing" in (tmp_path / "nt1" / "schema.tsv").read_text(encoding="utf-8")
+    assert "e1\tr.size\t3^^integer\n" in (tmp_path / "nt1" / "triples.tsv").read_text(
+        encoding="utf-8")
     # the dump loads back and serves queries
-    code = run(["execute", "--kb", str(out_dir), "(COUNT sf.engine)"])
+    code = run(["execute", "--kb", str(tmp_path / "tsv1"), "(COUNT sf.engine)"])
     assert code == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["answers"] == ["2"]
 
@@ -141,6 +169,13 @@ def test_exit_codes(kb_files, tmp_path, capsys):
     # scorer spec errors are usage errors
     assert run(["predict", "--kb", kb_files["kb"], "--scorer", "bogus",
                 str(tmp_path / "nope.jsonl")]) in (1, 2)
+    # data error: a retrieval oracle table that is not a JSON object of numbers
+    for text in ('{"x": 1', '{"x": "high"}'):
+        table = tmp_path / "table.json"
+        table.write_text(text, encoding="utf-8")
+        assert run(["link", "--kb", "toy:", "--retrieval-scorer", f"oracle:{table}",
+                    str(tmp_path / "nope.jsonl")]) == 2
+        assert str(table) in capsys.readouterr().err
 
 
 def test_decode_records_stage_errors(kb_files, dataset, capsys, popen_children):
@@ -171,13 +206,46 @@ def test_failed_command_closes_its_out_file(dataset, tmp_path, popen_children):
     assert len(popen_children) == 1 and popen_children[0].returncode is not None
 
 
-def test_malformed_labels_file_is_a_data_error(kb_files, tmp_path, capsys):
+def test_malformed_labels_file_is_a_data_error(kb_files, dataset, tmp_path, capsys):
+    """A malformed line in any input file exits 2 and names the file
+    and the line."""
     out_dir = tmp_path / "store"
     assert run(["ingest", "--kb", kb_files["kb"], "--aliases", kb_files["aliases"],
                 str(out_dir)]) == 0
     (out_dir / "labels.tsv").write_text("e1 without a tab\n", encoding="utf-8")
     assert run(["execute", "--kb", str(out_dir), "(COUNT sf.engine)"]) == 2
     assert "labels.tsv:1" in capsys.readouterr().err
+
+    def bad(name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    cases = [
+        (["execute", "--kb", bad("bad.tsv", "# a comment\nonly two\tfields\n"), "(COUNT c)"],
+         "bad.tsv:2: expected 3 tab-separated fields, got 2"),
+        (["execute", "--kb", bad("bad.nt", "<a> <b> .\n"), "(COUNT c)"],
+         "bad.nt:1: malformed N-Triples line"),
+        (["execute", "--kb", kb_files["kb"], "--schema",
+          bad("schema.tsv", "relation\tr.ok\nclass\n"), "(COUNT c)"],
+         "schema.tsv:2: expected at least kind and name"),
+        (["execute", "--kb", kb_files["kb"], "--aliases",
+          bad("alias.tsv", "\ndecimetre\te1\tmuch\n"), "(COUNT c)"],
+         "alias.tsv:2: bad popularity 'much'"),
+        (["ingest", "--kb", kb_files["kb"], "--strict-aliases", "--aliases",
+          bad("strict.tsv", "decimetre\te1\t0.9\nnobody\tm.none\t0.1\n"),
+          str(tmp_path / "strict")],
+         "strict.tsv:2: alias 'nobody' names unknown entity 'm.none'"),
+        (["link", "--kb", "toy:", bad("bad.jsonl", "{not json\n")],
+         "bad.jsonl:1: bad dataset record: "),
+        (["link", "--kb", "toy:", bad("list.jsonl", '["q1", "x"]\n')],
+         "list.jsonl:1: bad dataset record: expected a JSON object, got list"),
+        (["eval", dataset, bad("preds.jsonl", '{"qid": "q1"}\n{"qid": \n')],
+         "preds.jsonl:2: bad prediction record: "),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_dump_context_flag(kb_files, dataset, tmp_path):

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import kbqa
 
 from kbqa.errors import NoCandidateError, ScorerProtocolError
 from kbqa.retrieve import (ConstantScorer, ExternalTextScorer, LexicalScorer,
@@ -237,6 +242,33 @@ def test_lexical_score_basics():
     close = lexical_score(q, "measurement_unit.measurement_system")
     far = lexical_score(q, "spaceflight.bipropellant_rocket_engine")
     assert close > far
+
+
+_HASH_SEED_PROBE = """
+from kbqa.retrieve import LexicalScorer, Question
+words = ["w" + chr(97 + i) for i in range(20)]
+corpus = [" ".join(w for j, w in enumerate(words) if (d * 7 + j * 3) % (j + 2) == 0)
+          for d in range(40)]
+scorer = LexicalScorer(corpus)
+question = Question.of(" ".join(words[:14]))
+print(" ".join(repr(scorer.score(question, " ".join(words[i:i + 12])))
+               for i in range(9)))
+"""
+
+
+def test_lexical_scores_do_not_depend_on_hash_seed():
+    """The idf sums run over sets of strings, whose order follows
+    PYTHONHASHSEED; a score's last bits must not, or exact ties between
+    candidates would break by hash order."""
+    src = str(Path(kbqa.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outputs.append(subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 9
 
 
 def test_link_question_end_to_end(toy):
