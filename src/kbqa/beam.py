@@ -13,13 +13,13 @@ finishes on the first end token, grammatical or not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .grammar import DecodeContext, GrammarState, advance, allowed_next, initial_state
+from .grammar import (DecodeContext, GrammarState, advance, allowed_next,
+                      initial_state, mask_key)
 
 
 @runtime_checkable
@@ -30,10 +30,11 @@ class TokenScorer(Protocol):
                        prefix: Sequence[int]) -> np.ndarray: ...
 
 
-def _quantize(score: float) -> float:
+def _quantize(score):
     """Collapse float-accumulation noise so that mathematically equal
-    path scores compare as ties (which then break by token sequence)."""
-    return round(score, 9)
+    path scores compare as ties (which then break by token sequence).
+    Always numpy's rounding, for a scalar or an array alike."""
+    return np.round(score, 9)
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,24 @@ class Hypothesis:
 
     def sort_key(self):
         return (-_quantize(self.log_prob), self.tokens)
+
+
+def _allowed_ids(state: GrammarState, ctx: DecodeContext) -> np.ndarray:
+    """allowed_next as a sorted index array, memoised under its key."""
+    key = mask_key(state)
+    ids = ctx.mask_ids.get(key)
+    if ids is None:
+        ids = np.array(sorted(allowed_next(state, ctx)), dtype=np.intp)
+        ctx.mask_ids[key] = ids
+    return ids
+
+
+def _top_ids(row: np.ndarray, k: int) -> np.ndarray:
+    """The k best tokens of a row by (score descending, token
+    ascending), cut at the first non-finite one in that order."""
+    order = np.argsort(-row, kind="stable")[:k]
+    finite = np.isfinite(row[order])
+    return order if finite.all() else order[:int(finite.argmin())]
 
 
 def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
@@ -60,45 +79,39 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
     finished: list[Hypothesis] = []
 
     for _ in range(max_len):
-        candidates: list[tuple[float, tuple[int, ...], Hypothesis, int]] = []
+        # Each live hypothesis's children: token ids and path scores.
+        ids_of, scores_of = [], []
         for hyp in live:
             row = np.asarray(scorer.next_log_probs(context, hyp.tokens), dtype=float)
             if constrained:
-                allowed = allowed_next(hyp.state, ctx)
-                for token in sorted(allowed):
-                    log_prob = row[token]
-                    if not math.isfinite(log_prob):
-                        continue
-                    candidates.append(
-                        (hyp.log_prob + log_prob, hyp.tokens + (token,), hyp, token))
+                ids = _allowed_ids(hyp.state, ctx)
+                ids = ids[np.isfinite(row[ids])]
             else:
                 # Per-hypothesis top beam_size suffices for the global top-k.
-                finite = np.isfinite(row)
-                order = np.argsort(-row, kind="stable")
-                taken = 0
-                for token in order:
-                    if not finite[token]:
-                        break
-                    candidates.append(
-                        (hyp.log_prob + float(row[token]),
-                         hyp.tokens + (int(token),), hyp, int(token)))
-                    taken += 1
-                    if taken >= beam_size:
-                        break
-        if not candidates:
+                ids = _top_ids(row, beam_size)
+            ids_of.append(ids)
+            scores_of.append(hyp.log_prob + row[ids])
+        n_children = sum(len(ids) for ids in ids_of)
+        if not n_children:
             break
-        candidates.sort(key=lambda c: (-_quantize(c[0]), c[1]))
+        child_ids = np.concatenate(ids_of)
+        scores = np.concatenate(scores_of)
+        parents = np.repeat(np.arange(len(live)), [len(ids) for ids in ids_of])
+        # Live hypotheses are distinct, equally long and kept in token
+        # order, so ordering children by token sequence is ordering them
+        # by (parent, token).
+        order = np.lexsort((child_ids, parents, -_quantize(scores)))[:beam_size]
         next_live: list[Hypothesis] = []
-        for log_prob, tokens, hyp, token in candidates[:beam_size]:
-            if constrained:
+        for j in order.tolist():
+            hyp, token, log_prob = live[parents[j]], int(child_ids[j]), scores[j]
+            if constrained or hyp.state is not None:
                 state = advance(hyp.state, token, ctx)
             else:
-                state = advance(hyp.state, token, ctx) if hyp.state is not None else None
-            if token == end_id and (not constrained or state is not None):
-                finished.append(Hypothesis(tokens, log_prob, state, True))
-            else:
-                next_live.append(Hypothesis(tokens, log_prob, state, False))
-        live = next_live
+                state = None
+            done = token == end_id and (not constrained or state is not None)
+            (finished if done else next_live).append(
+                Hypothesis(hyp.tokens + (token,), log_prob, state, done))
+        live = sorted(next_live, key=lambda h: h.tokens)
         if not live:
             break
         if len(finished) >= beam_size:

@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from .enumerator import EnumConfig, enumerate_elfs
-from .errors import DataError, KbqaError, ScorerProtocolError, UsageError
+from .errors import (DataError, KbqaError, ScorerProtocolError, TokenizeError,
+                     UsageError)
 from .executor import compile_sparql, evaluate, evaluate_sparql_subset
 from .fixtures import toy_store
 from .metrics import evaluate_dataset, render_report, report_to_json
@@ -26,11 +27,10 @@ from .pipeline import (Pipeline, PipelineConfig, Prediction, load_dataset,
 from .retrieve import (ConstantScorer, ExternalTextScorer, Question, Scorer,
                        TableScorer, build_lexical_scorer, link_question,
                        retrieve_schema)
-from .scorers import (ExternalTokenScorer, OracleScorer, UniformScorer,
-                      ngram_scorer_from_forms)
+from .scorers import ExternalTokenScorer, NgramScorer, OracleScorer, UniformScorer
 from .sexpr import canonicalize, parse, print_canonical
 from .store import StoreBuilder, TripleStore, read_rows
-from .vocab import Vocabulary, encode_logical_form
+from .vocab import Vocabulary, encode_target
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,19 +190,21 @@ def make_token_scorer_factory(args):
             return UniformScorer(vocab.size)
         if spec.startswith(("ngram:", "oracle:")):
             kind, path = spec.split(":", 1)
-            forms = []
+            targets = []
 
             def read_form(line: str) -> None:
-                parse(line)  # a malformed form fails here, at its file and line
-                forms.append(line.strip())
+                # a malformed or out-of-vocabulary form fails at its file and line
+                try:
+                    targets.append(encode_target(vocab, line.strip()))
+                except TokenizeError as exc:
+                    raise DataError(str(exc)) from exc
 
             _read(path, read_rows, parse_row=read_form)
             if kind == "ngram":
-                return ngram_scorer_from_forms(forms, vocab, order=args.ngram_order)
-            if not forms:
+                return NgramScorer(targets, vocab.size, order=args.ngram_order,
+                                   begin_id=vocab.begin_id)
+            if not targets:
                 raise DataError(f"oracle file {path} is empty")
-            targets = [tuple(encode_logical_form(vocab, f)) + (vocab.end_id,)
-                       for f in forms]
             return OracleScorer(targets[0], vocab.size, eps=args.oracle_eps,
                                 fallback_targets=targets[1:], rng_seed=args.seed)
         if spec.startswith("extern:"):

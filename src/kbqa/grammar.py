@@ -22,12 +22,15 @@ constrained syntactically (digits, one point, optional float/integer
 tag) but not to values present in the KB.
 
 A mask reads only the slot, the trie cursor and the top stack frame, so
-`allowed_next` is memoised on the DecodeContext under that key.
+`allowed_next` is memoised on the DecodeContext under that key,
+`mask_key`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .trie import SchemaTrie, TrieNode
 from .vocab import DIGITS, TYPE_TAGS, Vocabulary
@@ -123,7 +126,7 @@ _MISS = object()
 class DecodeContext:
     """Vocabulary-resolved token sets, the two schema tries, the
     linked-entity constraint, the move table resolved against them, and
-    the allowed_next memo."""
+    the allowed_next memo with its index-array twin for the beam."""
 
     def __init__(self, vocab: Vocabulary, class_trie: SchemaTrie,
                  rel_trie: SchemaTrie,
@@ -168,6 +171,8 @@ class DecodeContext:
             slot: frozenset().union(*(tokens for tokens, _ in moves if tokens is not None))
             for slot, moves in self.moves.items()}
         self.masks: dict[tuple, frozenset[int]] = {}
+        # the same sets as sorted np.intp arrays, under the same keys
+        self.mask_ids: dict[tuple, np.ndarray] = {}
 
 
 def _may_end(state: GrammarState) -> bool:
@@ -188,9 +193,14 @@ def advance(state: GrammarState, token: int,
     return None
 
 
+def mask_key(state: GrammarState) -> tuple:
+    """What the allowed set depends on: slot, trie cursor, top frame."""
+    return (state.slot, state.cursor, state.stack[-1:])
+
+
 def allowed_next(state: GrammarState, ctx: DecodeContext) -> frozenset[int]:
     """Exactly the token ids advance() accepts in this state."""
-    key = (state.slot, state.cursor, state.stack[-1:])
+    key = mask_key(state)
     mask = ctx.masks.get(key)
     if mask is None:
         mask = ctx.slot_masks[state.slot]

@@ -14,6 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 from .errors import DataError, NoCandidateError, ScorerProtocolError
@@ -30,6 +31,15 @@ class Question:
     @staticmethod
     def of(text: str) -> "Question":
         return Question(text, tuple(text_words(text)))
+
+    # The lexical scorer's question features, computed once per question.
+    @cached_property
+    def word_set(self) -> frozenset[str]:
+        return frozenset(self.tokens)
+
+    @cached_property
+    def trigrams(self) -> frozenset[str]:
+        return frozenset(_trigrams(" ".join(self.tokens)))
 
 
 @dataclass(frozen=True)
@@ -92,34 +102,34 @@ class LexicalScorer:
 
     def __init__(self, corpus: Optional[Sequence[str]] = None):
         self._idf: dict[str, float] = {}
-        self._n_docs = 0
+        self._unseen = 1.0  # the weight of a token outside the corpus
         if corpus:
             df: dict[str, int] = {}
             for doc in corpus:
                 for token in set(text_words(doc)):
                     df[token] = df.get(token, 0) + 1
-            self._n_docs = len(corpus)
+            n_docs = len(corpus)
             for token, count in df.items():
-                self._idf[token] = math.log((1 + self._n_docs) / (1 + count)) + 1.0
-
-    def idf(self, token: str) -> float:
-        if not self._n_docs:
-            return 1.0
-        return self._idf.get(token, math.log(1 + self._n_docs) + 1.0)
+                self._idf[token] = math.log((1 + n_docs) / (1 + count)) + 1.0
+            self._unseen = math.log(1 + n_docs) + 1.0
 
     def score(self, question: Question, candidate_text: str) -> float:
-        q_tokens = set(question.tokens)
-        c_tokens = set(text_words(candidate_text))
+        words = text_words(candidate_text)
+        q_tokens = question.word_set
+        c_tokens = set(words)
         union = q_tokens | c_tokens
         overlap = 0.0
         if union:
+            idf, unseen = self._idf.get, self._unseen
             # fsum rounds once, so the sets' hash order cannot move ties.
-            common_weight = math.fsum(self.idf(t) for t in q_tokens & c_tokens)
-            union_weight = math.fsum(self.idf(t) for t in union)
+            common_weight = math.fsum(idf(t, unseen) for t in q_tokens & c_tokens)
+            union_weight = math.fsum(idf(t, unseen) for t in union)
             overlap = common_weight / union_weight if union_weight else 0.0
-        q_tri = _trigrams(" ".join(question.tokens))
-        c_tri = _trigrams(" ".join(text_words(candidate_text)))
-        tri = len(q_tri & c_tri) / len(q_tri | c_tri) if (q_tri or c_tri) else 0.0
+        q_tri = question.trigrams
+        c_tri = _trigrams(" ".join(words))
+        common = len(q_tri & c_tri)
+        either = len(q_tri) + len(c_tri) - common
+        tri = common / either if either else 0.0
         return overlap + 0.1 * tri
 
 

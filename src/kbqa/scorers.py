@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ScorerProtocolError
-from .vocab import Vocabulary
+from .vocab import Vocabulary, encode_target
 
 
 def _stable_seed(*parts) -> int:
@@ -240,8 +240,5 @@ def ngram_scorer_from_forms(forms: Sequence[str], vocab: Vocabulary,
                             order: int = 3) -> NgramScorer:
     """Train an n-gram scorer on logical-form strings (end token
     appended to each sequence)."""
-    from .vocab import encode_logical_form
-    corpus = []
-    for form in forms:
-        corpus.append(tuple(encode_logical_form(vocab, form)) + (vocab.end_id,))
+    corpus = [encode_target(vocab, form) for form in forms]
     return NgramScorer(corpus, vocab.size, order=order, begin_id=vocab.begin_id)

@@ -355,14 +355,16 @@ class TripleStore:
         self._triples: tuple[Triple, ...] = tuple(builder._triples)
         self._catalog: dict[str, SchemaItem] = dict(builder._catalog)
 
-        spo: dict[str, dict[str, set]] = {}
-        ops: dict[Object, dict[str, set]] = {}
+        # The index leaves are built as lists and frozen to tuples below;
+        # the triples are distinct, so no leaf repeats an entry.
+        spo: dict[str, dict[str, tuple]] = {}
+        ops: dict[Object, dict[str, tuple]] = {}
         by_relation: dict[str, list[Triple]] = {}
         class_members: dict[str, set[str]] = {}
         entities: set[str] = set()
         for t in self._triples:
-            spo.setdefault(t.subject, {}).setdefault(t.relation, set()).add(t.object)
-            ops.setdefault(t.object, {}).setdefault(t.relation, set()).add(t.subject)
+            spo.setdefault(t.subject, {}).setdefault(t.relation, []).append(t.object)
+            ops.setdefault(t.object, {}).setdefault(t.relation, []).append(t.subject)
             by_relation.setdefault(t.relation, []).append(t)
             entities.add(t.subject)
             if t.relation == self.type_relation and isinstance(t.object, str):
@@ -391,6 +393,10 @@ class TripleStore:
             label = builder._labels.get(entity) or (aliases[0] if aliases else "")
             meta[entity] = EntityMeta(label, aliases, best_pop.get(entity, 0.0))
 
+        for index in (spo, ops):
+            for leaves in index.values():
+                for key, leaf in leaves.items():
+                    leaves[key] = tuple(leaf)
         self._spo = spo
         self._ops = ops
         self._by_relation = by_relation

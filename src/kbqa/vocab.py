@@ -252,6 +252,13 @@ def encode_logical_form(vocab: Vocabulary,
     return [vocab.id(token) for token in tokens]
 
 
+def encode_target(vocab: Vocabulary,
+                  lf: Union[str, LogicalForm]) -> tuple[int, ...]:
+    """A logical form as the id sequence a token scorer generates: its
+    exact encoding followed by the end token."""
+    return tuple(encode_logical_form(vocab, lf)) + (vocab.end_id,)
+
+
 def raw_join(vocab: Vocabulary, ids: Sequence[int],
              skip: Optional[set[int]] = None) -> str:
     """Space-joined token strings: a debugging fallback, not guaranteed

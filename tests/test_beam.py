@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from kbqa.beam import Hypothesis, beam_search, sequence_nll
-from kbqa.fixtures import toy_store
-from kbqa.grammar import DecodeContext, render_tokens
+from kbqa.fixtures import random_store, toy_store
+from kbqa.grammar import DecodeContext, advance, allowed_next, initial_state, render_tokens
 from kbqa.scorers import (NgramScorer, OracleScorer, RandomTokenScorer,
                           UniformScorer, ngram_scorer_from_forms)
 from kbqa.sexpr import parse, print_canonical, validate_schema
@@ -242,3 +242,109 @@ def test_log_prob_non_increasing_along_path():
     hyps = beam_search(scorer, (), ctx, beam_size=3, max_len=48)
     for hyp in hyps:
         assert hyp.log_prob <= 1e-12
+
+
+def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
+                          max_len=128):
+    """The beam step as a Python sort over every allowed child, kept as
+    the reference for the array-level step."""
+    def quantize(score):
+        return round(score, 9)
+
+    end_id = ctx.end_id
+    live = [Hypothesis((), 0.0, initial_state())]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in live:
+            row = np.asarray(scorer.next_log_probs(context, hyp.tokens), dtype=float)
+            if constrained:
+                allowed = allowed_next(hyp.state, ctx)
+                for token in sorted(allowed):
+                    log_prob = row[token]
+                    if not math.isfinite(log_prob):
+                        continue
+                    candidates.append(
+                        (hyp.log_prob + log_prob, hyp.tokens + (token,), hyp, token))
+            else:
+                finite = np.isfinite(row)
+                order = np.argsort(-row, kind="stable")
+                taken = 0
+                for token in order:
+                    if not finite[token]:
+                        break
+                    candidates.append(
+                        (hyp.log_prob + float(row[token]),
+                         hyp.tokens + (int(token),), hyp, int(token)))
+                    taken += 1
+                    if taken >= beam_size:
+                        break
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: (-quantize(c[0]), c[1]))
+        next_live = []
+        for log_prob, tokens, hyp, token in candidates[:beam_size]:
+            if constrained:
+                state = advance(hyp.state, token, ctx)
+            else:
+                state = advance(hyp.state, token, ctx) if hyp.state is not None else None
+            if token == end_id and (not constrained or state is not None):
+                finished.append(Hypothesis(tokens, log_prob, state, True))
+            else:
+                next_live.append(Hypothesis(tokens, log_prob, state, False))
+        live = next_live
+        if not live:
+            break
+        if len(finished) >= beam_size:
+            kth_best = sorted(h.log_prob for h in finished)[-beam_size]
+            if max(h.log_prob for h in live) <= kth_best:
+                break
+    finished.sort(key=lambda h: (-quantize(h.log_prob), h.tokens))
+    return finished[:beam_size]
+
+
+def test_array_step_matches_reference_loop():
+    """Same hypotheses, log_prob included, as the per-candidate loop,
+    constrained and unconstrained, on the toy store and random stores."""
+    rng = random.Random(20241018)
+    stores = [toy_store()] + [random_store(rng, max_entities=20) for _ in range(8)]
+    compared = 0
+    for n, store in enumerate(stores):
+        entities = sorted(store.all_entities())
+        ctx, _ = make_ctx(store, linked=entities[:1 + n % 3])
+        for seed in range(3):
+            scorer = RandomTokenScorer(ctx.vocab.size, seed=100 * n + seed)
+            for constrained in (True, False):
+                for beam_size in (1, 3, 10):
+                    got = beam_search(scorer, (), ctx, constrained=constrained,
+                                      beam_size=beam_size, max_len=40)
+                    want = reference_beam_search(scorer, (), ctx, constrained=constrained,
+                                                 beam_size=beam_size, max_len=40)
+                    assert got == want, (n, seed, constrained, beam_size)
+                    assert [h.log_prob.hex() for h in got] == \
+                        [h.log_prob.hex() for h in want]
+                    compared += len(got)
+    assert compared > 100
+
+
+def test_scores_that_tie_only_under_numpy_rounding():
+    """-14.3851361025 rounds to -14.385136102 under numpy and to
+    -14.385136103 under Python's round. Quantised with numpy it ties
+    with -14.3851361022, so the token sequence decides: (COUNT ms.system)
+    before (COUNT sf.engine)."""
+    a, b = -14.3851361025, -14.3851361022
+    assert np.round(a, 9) == np.round(b, 9) and round(a, 9) != round(b, 9)
+    ctx, _ = make_ctx()
+    first = encode_target(ctx, "(COUNT ms.system)")
+    second = encode_target(ctx, "(COUNT sf.engine)")
+    branch = 2
+    assert first[:branch] == second[:branch] and first[branch] < second[branch]
+    script = {}
+    for target, score in ((first, a), (second, b)):
+        for i, token in enumerate(target):
+            script.setdefault(target[:i], {})[token] = score if i == branch else 0.0
+    scorer = ScriptedScorer(ctx.vocab.size, script)
+    for beam_size, expected in ((1, [first]), (2, [first, second])):
+        hyps = beam_search(scorer, (), ctx, beam_size=beam_size)
+        assert [h.tokens for h in hyps] == expected
+        assert hyps == reference_beam_search(scorer, (), ctx, beam_size=beam_size)

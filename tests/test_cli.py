@@ -240,12 +240,27 @@ def test_malformed_labels_file_is_a_data_error(kb_files, dataset, tmp_path, caps
          "bad.jsonl:1: bad dataset record: "),
         (["link", "--kb", "toy:", bad("list.jsonl", '["q1", "x"]\n')],
          "list.jsonl:1: bad dataset record: expected a JSON object, got list"),
+        (["link", "--kb", "toy:", bad("typed.jsonl", '{"qid": "q1", "question": 5}\n')],
+         "typed.jsonl:1: bad dataset record: question must be a string, got int"),
         (["eval", dataset, bad("preds.jsonl", '{"qid": "q1"}\n{"qid": \n')],
          "preds.jsonl:2: bad prediction record: "),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+def test_out_of_vocabulary_form_names_file_and_line(tmp_path, capsys):
+    """A form that parses but names a token outside the vocabulary is a
+    data error at its line of the forms file, for both file scorers."""
+    forms = tmp_path / "unk.txt"
+    forms.write_text("(COUNT sf.engine)\n(JOIN bogus.rel e1)\n", encoding="utf-8")
+    dataset = tmp_path / "q.jsonl"
+    dataset.write_text('{"qid": "q1", "question": "how many engines"}\n', encoding="utf-8")
+    for kind in ("oracle", "ngram"):
+        assert run(["decode", "--kb", "toy:", "--scorer", f"{kind}:{forms}",
+                    str(dataset)]) == 2
+        assert f"{forms}:2: token not in vocabulary: 'bogus'" in capsys.readouterr().err
 
 
 def test_dump_context_flag(kb_files, dataset, tmp_path):

@@ -16,7 +16,7 @@ from kbqa.retrieve import (ConstantScorer, ExternalTextScorer, LexicalScorer,
                            generate_candidates, lexical_score, link_question,
                            rank_elfs, ranker_loss, retrieve_schema)
 from kbqa.sexpr import parse, print_canonical
-from kbqa.store import StoreBuilder
+from kbqa.store import StoreBuilder, text_words
 
 
 def test_question_tokenization_round_trip():
@@ -242,6 +242,60 @@ def test_lexical_score_basics():
     close = lexical_score(q, "measurement_unit.measurement_system")
     far = lexical_score(q, "spaceflight.bipropellant_rocket_engine")
     assert close > far
+
+
+def reference_lexical_score(corpus, question, candidate_text):
+    """The lexical formula as first written: idf weights looked up with
+    their default worked out on every call, and both texts tokenised and
+    their trigrams built on every call."""
+    df = {}
+    for doc in corpus:
+        for token in set(text_words(doc)):
+            df[token] = df.get(token, 0) + 1
+
+    def idf(token):
+        if not corpus:
+            return 1.0
+        if token in df:
+            return math.log((1 + len(corpus)) / (1 + df[token])) + 1.0
+        return math.log(1 + len(corpus)) + 1.0
+
+    def trigrams(text):
+        return {text[i:i + 3] for i in range(len(text) - 2)}
+
+    q_tokens = set(question.tokens)
+    c_tokens = set(text_words(candidate_text))
+    union = q_tokens | c_tokens
+    overlap = 0.0
+    if union:
+        common_weight = math.fsum(idf(t) for t in q_tokens & c_tokens)
+        union_weight = math.fsum(idf(t) for t in union)
+        overlap = common_weight / union_weight if union_weight else 0.0
+    q_tri = trigrams(" ".join(question.tokens))
+    c_tri = trigrams(" ".join(text_words(candidate_text)))
+    tri = len(q_tri & c_tri) / len(q_tri | c_tri) if (q_tri or c_tri) else 0.0
+    return overlap + 0.1 * tri
+
+
+def test_lexical_score_is_exactly_the_reference_formula():
+    rng = random.Random(7)
+    words = ["alpha", "beta", "core", "delta", "unit", "flux", "x", "ab", "42", "3.5"]
+
+    def text():
+        seps = (" ", ".", "_", " ")
+        return "".join(rng.choice(words) + rng.choice(seps)
+                       for _ in range(rng.randint(0, 7))).strip()
+
+    # a corpus that misses some words, so unseen tokens get weighed too
+    corpus = [text().replace("flux", "") for _ in range(30)]
+    for docs in ([], corpus):
+        scorer = LexicalScorer(docs)
+        for _ in range(300):
+            question = Question.of(text())
+            for _ in range(3):
+                candidate = text()
+                assert scorer.score(question, candidate).hex() == \
+                    reference_lexical_score(docs, question, candidate).hex()
 
 
 _HASH_SEED_PROBE = """
