@@ -9,12 +9,17 @@ and the output is deduplicated by canonical print and ordered by
 (relation count, canonical print) before the candidate cap applies.
 
 Cost model: `_joins` reads the in- and out-edges of a member set in one
-pass and buckets the far ends per relation, so each distinct
+pass and unions each member's index leaf (a tuple the store already
+holds) into its relation's bucket in bulk, so each distinct
 (form, relation) bucket is built once however many edges share its
-relation, and the edges of a member set are read once. Hop 1 starts
-from each start's denotation, hop 2 from each hop-1 bucket, and no
-emitted form is evaluated again. A class wrap reads only the type edges
-of its form's members.
+relation, and no Python object is made per edge. Hop 1 starts from each
+start's denotation, hop 2 from each hop-1 bucket, and no emitted form is
+evaluated again. A class wrap reads only the type leaves of its form's
+members, except on a type join (JOIN type_rel B): its members are the
+subjects typed by B's members, so its classes are the union of the
+store's co-types of B's members, read without touching a member of the
+join. A hop-2 type join under a class node, whose members are all of
+that class's instances, thus costs one table read per member of B.
 """
 
 from __future__ import annotations
@@ -60,31 +65,36 @@ class EnumConfig:
             raise ValueError("max_candidates must be non-negative")
 
 
-def _joins(base: LogicalForm, members, store: TripleStore) -> list[tuple[LogicalForm, set]]:
+def _joins(base: LogicalForm, members, store: TripleStore) -> list[tuple[Join, set]]:
     """One pass over the members' in- and out-edges: every
     (JOIN r base), then every (JOIN (R r) base), each with its member
     set and each in sorted relation order."""
     ins: dict[str, set] = {}
     outs: dict[str, set] = {}
     for member in members:
-        for relation, subject in store.neighbors_in(member):
-            ins.setdefault(relation, set()).add(subject)
+        for relation, subjects in store.in_edges(member).items():
+            ins.setdefault(relation, set()).update(subjects)
         if isinstance(member, str):
-            for relation, obj in store.neighbors_out(member):
-                outs.setdefault(relation, set()).add(obj)
+            for relation, objects in store.out_edges(member).items():
+                outs.setdefault(relation, set()).update(objects)
     joins = [(Join(r, base), ins[r]) for r in sorted(ins)]
     joins.extend((Join(Reverse(r), base), outs[r]) for r in sorted(outs))
     return joins
 
 
-def _class_wraps(form: LogicalForm, members, store: TripleStore) -> list[LogicalForm]:
+def _class_wraps(join: Join, members, base_members, store: TripleStore) -> list[LogicalForm]:
+    """(AND c join) for every string class c of the join's members;
+    `base_members` is the denotation of the join's sub-form."""
     classes = set()
-    for member in members:
-        if isinstance(member, str):
-            for obj in store.objects_of(member, store.type_relation):
-                if isinstance(obj, str):
-                    classes.add(obj)
-    return [And(ClassRef(c), form) for c in sorted(classes)]
+    if join.relation == store.type_relation:
+        # The members are the subjects typed by a base member.
+        for node in base_members:
+            classes.update(store.cotypes(node))
+    else:
+        for member in members:
+            if isinstance(member, str):
+                classes.update(store.out_edges(member).get(store.type_relation, ()))
+    return [And(ClassRef(c), join) for c in sorted(c for c in classes if isinstance(c, str))]
 
 
 def enumerate_elfs(starts: list[StartPoint], store: TripleStore,
@@ -93,21 +103,23 @@ def enumerate_elfs(starts: list[StartPoint], store: TripleStore,
     output contract and the cost model."""
     collected: dict[str, LogicalForm] = {}
 
-    def keep(joins: list[tuple[LogicalForm, set]]) -> None:
+    def keep(base_members, joins: list[tuple[Join, set]]) -> None:
         for form, members in joins:
             collected.setdefault(print_canonical(form), form)
             if cfg.include_class_constraint:
                 # A class read from a member's type edge has that member
                 # among its instances, so a wrap is never empty.
-                for wrapped in _class_wraps(form, members, store):
+                for wrapped in _class_wraps(form, members, base_members, store):
                     collected.setdefault(print_canonical(wrapped), wrapped)
 
     for start in dict.fromkeys(starts):
+        if not store.has_node(start.value):
+            continue  # the start denotes nothing, so every form on it is empty
         joins = _joins(start.ref(), [start.value], store)
-        keep(joins)
+        keep([start.value], joins)
         if cfg.hop_limit == 2:
             for form, members in joins:
-                keep(_joins(form, members, store))
+                keep(members, _joins(form, members, store))
 
     ordered = sorted(collected.items(), key=lambda kv: (relation_count(kv[1]), kv[0]))
     return [form for _key, form in ordered[:cfg.max_candidates]]

@@ -108,10 +108,10 @@ def _eval_set(lf: LogicalForm, store: TripleStore) -> frozenset:
             rel = lf.relation.relation
             for member in members:
                 if isinstance(member, str):
-                    result.update(store.objects_of(member, rel))
+                    result.update(store.out_edges(member).get(rel, ()))
         else:
             for member in members:
-                result.update(store.subjects_of(member, lf.relation))
+                result.update(store.in_edges(member).get(lf.relation, ()))
         return frozenset(result)
     if isinstance(lf, Compare):
         if not (lf.literal.is_numeric() or lf.literal.kind == "datetime"):
@@ -131,7 +131,7 @@ def _eval_set(lf: LogicalForm, store: TripleStore) -> frozenset:
             if not isinstance(member, str):
                 continue
             best = _extremum(lf, (
-                obj for obj in store.objects_of(member, lf.relation)
+                obj for obj in store.out_edges(member).get(lf.relation, ())
                 if isinstance(obj, LiteralValue)
                 and (obj.is_numeric() or obj.kind == "datetime")))
             if best is not None:

@@ -41,21 +41,35 @@ class QAExample:
 
     @staticmethod
     def from_json(record: dict) -> "QAExample":
-        question, sexpr = record["question"], record.get("sexpr")
-        answers = record.get("answers")
-        if not isinstance(question, str):
-            raise TypeError(f"question must be a string, got {type(question).__name__}")
-        if sexpr is not None and not isinstance(sexpr, str):
-            raise TypeError(f"sexpr must be a string, got {type(sexpr).__name__}")
-        if answers is not None and not (isinstance(answers, list)
-                                        and all(isinstance(a, str) for a in answers)):
-            raise TypeError("answers must be a list of strings")
         return QAExample(
             qid=str(record["qid"]),
-            question=question,
-            sexpr=sexpr,
-            answers=tuple(answers) if answers is not None else None,
+            question=_checked("question", record["question"], str, nullable=False),
+            sexpr=_checked("sexpr", record.get("sexpr"), str),
+            answers=_answers(record),
         )
+
+
+_KIND_NAMES = {str: "a string", int: "an integer"}
+
+
+def _checked(name: str, value, kind: type, nullable: bool = True):
+    """`value` when it is a `kind` (a bool is not an integer), or when
+    it is None and `nullable`; TypeError otherwise."""
+    if value is None and nullable:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _answers(record: dict) -> Optional[tuple[str, ...]]:
+    """The record's `answers`: a list of strings, or absent or null."""
+    answers = record.get("answers")
+    if answers is None:
+        return None
+    if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
+        raise TypeError("answers must be a list of strings")
+    return tuple(answers)
 
 
 def load_records(lines: Iterable[str], source: Optional[str],
@@ -195,13 +209,13 @@ class Prediction:
 
     @staticmethod
     def from_json(record: dict) -> "Prediction":
-        answers = record.get("answers")
         return Prediction(
             qid=str(record["qid"]),
-            logical_form=record.get("logical_form"),
-            answers=tuple(answers) if answers is not None else None,
-            provenance=record.get("provenance", "none"),
-            beam_rank=record.get("beam_rank"),
+            logical_form=_checked("logical_form", record.get("logical_form"), str),
+            answers=_answers(record),
+            provenance=_checked("provenance", record.get("provenance", "none"), str,
+                                nullable=False),
+            beam_rank=_checked("beam_rank", record.get("beam_rank"), int),
             timing=record.get("timing", {}),
             context=record.get("context"),
             stage_errors=record.get("stage_errors", {}),

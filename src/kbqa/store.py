@@ -18,7 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import DataError, TripleParseError
 
@@ -347,6 +348,9 @@ class StoreBuilder:
         return TripleStore(self)
 
 
+_NO_EDGES: Mapping = MappingProxyType({})
+
+
 class TripleStore:
     """Frozen, fully indexed store. All methods are read-only."""
 
@@ -361,17 +365,32 @@ class TripleStore:
         ops: dict[Object, dict[str, tuple]] = {}
         by_relation: dict[str, list[Triple]] = {}
         class_members: dict[str, set[str]] = {}
+        multi_typed: list[str] = []
         entities: set[str] = set()
         for t in self._triples:
-            spo.setdefault(t.subject, {}).setdefault(t.relation, []).append(t.object)
+            objects = spo.setdefault(t.subject, {}).setdefault(t.relation, [])
+            objects.append(t.object)
             ops.setdefault(t.object, {}).setdefault(t.relation, []).append(t.subject)
             by_relation.setdefault(t.relation, []).append(t)
             entities.add(t.subject)
-            if t.relation == self.type_relation and isinstance(t.object, str):
-                class_members.setdefault(t.object, set()).add(t.subject)
+            if t.relation == self.type_relation:
+                if len(objects) == 2:
+                    multi_typed.append(t.subject)
+                if isinstance(t.object, str):
+                    class_members.setdefault(t.object, set()).add(t.subject)
             elif isinstance(t.object, str):
                 entities.add(t.object)
         entities.update(builder._labels)
+
+        # cotypes[o]: the string classes of the subjects typed o. A
+        # subject with one type edge adds o itself, so only the
+        # multi-typed subjects need a second look.
+        cotypes: dict[Object, set[str]] = {c: {c} for c in class_members}
+        for subject in multi_typed:
+            types = spo[subject][self.type_relation]
+            classes = [o for o in types if isinstance(o, str)]
+            for o in types:
+                cotypes.setdefault(o, set()).update(classes)
 
         alias_index: dict[str, list[tuple[str, float]]] = {}
         best_pop: dict[str, float] = {}
@@ -401,6 +420,7 @@ class TripleStore:
         self._ops = ops
         self._by_relation = by_relation
         self._class_members = {c: frozenset(m) for c, m in class_members.items()}
+        self._cotypes = {o: frozenset(c) for o, c in cotypes.items()}
         self._entities = frozenset(entities)
         self._alias_index = alias_index
         self._meta = meta
@@ -437,17 +457,29 @@ class TripleStore:
 
     # -- graph queries ---------------------------------------------------
 
+    def out_edges(self, subject: str) -> Mapping[str, tuple]:
+        """Read-only view of the subject's out-edges: relation -> the
+        index's own tuple of objects."""
+        leaves = self._spo.get(subject)
+        return _NO_EDGES if leaves is None else MappingProxyType(leaves)
+
+    def in_edges(self, obj: Object) -> Mapping[str, tuple]:
+        """Read-only view of the node's in-edges: relation -> the index's
+        own tuple of subjects."""
+        leaves = self._ops.get(obj)
+        return _NO_EDGES if leaves is None else MappingProxyType(leaves)
+
     def neighbors_out(self, subject: str) -> set[tuple[str, Object]]:
-        return {(r, o) for r, objs in self._spo.get(subject, {}).items() for o in objs}
+        return {(r, o) for r, objs in self.out_edges(subject).items() for o in objs}
 
     def neighbors_in(self, obj: Object) -> set[tuple[str, str]]:
-        return {(r, s) for r, subs in self._ops.get(obj, {}).items() for s in subs}
+        return {(r, s) for r, subs in self.in_edges(obj).items() for s in subs}
 
     def objects_of(self, subject: str, relation: str) -> set:
-        return set(self._spo.get(subject, {}).get(relation, ()))
+        return set(self.out_edges(subject).get(relation, ()))
 
     def subjects_of(self, obj: Object, relation: str) -> set[str]:
-        return set(self._ops.get(obj, {}).get(relation, ()))
+        return set(self.in_edges(obj).get(relation, ()))
 
     def relation_triples(self, relation: str) -> list[Triple]:
         return list(self._by_relation.get(relation, ()))
@@ -455,9 +487,15 @@ class TripleStore:
     def instances_of(self, class_name: str) -> frozenset[str]:
         return self._class_members.get(class_name, frozenset())
 
+    def cotypes(self, type_object: Object) -> frozenset[str]:
+        """The string classes of the subjects typed `type_object`: the
+        object itself when it is a string, plus every string type of a
+        subject that has it among two or more type edges."""
+        return self._cotypes.get(type_object, frozenset())
+
     def entity_relations(self, entity: str) -> set[str]:
-        rels = set(self._spo.get(entity, {}))
-        rels.update(self._ops.get(entity, {}))
+        rels = set(self.out_edges(entity))
+        rels.update(self.in_edges(entity))
         return rels
 
     # -- entity metadata ---------------------------------------------------

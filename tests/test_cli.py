@@ -244,6 +244,10 @@ def test_malformed_labels_file_is_a_data_error(kb_files, dataset, tmp_path, caps
          "typed.jsonl:1: bad dataset record: question must be a string, got int"),
         (["eval", dataset, bad("preds.jsonl", '{"qid": "q1"}\n{"qid": \n')],
          "preds.jsonl:2: bad prediction record: "),
+        (["eval", dataset, bad("str.jsonl", '{"qid": "q1", "answers": "sys1"}\n')],
+         "str.jsonl:1: bad prediction record: answers must be a list of strings"),
+        (["eval", dataset, bad("rank.jsonl", '{"qid": "q1", "beam_rank": "0"}\n')],
+         "rank.jsonl:1: bad prediction record: beam_rank must be an integer, got str"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

@@ -146,3 +146,38 @@ def test_degree_ten_thousand_hub_enumerates_quickly():
     elapsed = time.perf_counter() - t0
     assert "(JOIN k.in0 hub)" in prints(out)
     assert elapsed < 2.0, f"degree-10^4 hub took {elapsed:.2f} s"
+
+
+def typed_store(rng):
+    """A small store with the type-edge shapes class wraps must get
+    right: subjects with several type edges, type edges to literals,
+    and class nodes at either end of other edges. Its own generator, so
+    that `random_store`'s draws stay as they are."""
+    builder = StoreBuilder()
+    entities = [f"e{i}" for i in range(rng.randint(3, 7))]
+    classes = [f"k.c{i}" for i in range(rng.randint(1, 3))]
+    literals = [LiteralValue("float", float(i)) for i in range(2)]
+    relations = [f"k.r{i}" for i in range(rng.randint(1, 2))]
+    for entity in entities:
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            builder.add_triple(entity, "type_rel", rng.choice(classes + literals))
+    nodes = entities + classes
+    for _ in range(rng.randint(len(entities), 2 * len(entities))):
+        builder.add_triple(rng.choice(nodes), rng.choice(relations),
+                           rng.choice(nodes + literals))
+    starts = [StartPoint.entity(e) for e in rng.sample(entities, 2)]
+    starts += [StartPoint.entity(c) for c in classes]
+    starts.append(StartPoint.literal(rng.choice(literals)))
+    return builder.freeze(), starts
+
+
+def test_matches_oracle_on_typed_stores():
+    """Multi-typed subjects, literal type objects, class nodes on
+    non-type edges and class-node starts, some of which are no node of
+    the store and so denote nothing."""
+    rng = random.Random(2024)
+    cfg = EnumConfig(max_candidates=100000)
+    for _ in range(40):
+        store, starts = typed_store(rng)
+        assert [print_canonical(f) for f in enumerate_elfs(starts, store, cfg)] == \
+            [print_canonical(f) for f in completeness_oracle(starts, store, cfg)]

@@ -1,9 +1,11 @@
 import io
+import random
 
 import pytest
 
 from kbqa.errors import TripleParseError
-from kbqa.fixtures import TOY_TRIPLES, toy_aliases_tsv, toy_store, toy_triples_tsv
+from kbqa.fixtures import (TOY_TRIPLES, random_store, toy_aliases_tsv, toy_store,
+                           toy_triples_tsv)
 from kbqa.store import LiteralValue, StoreBuilder, parse_literal, reduce_iri
 
 
@@ -158,6 +160,48 @@ def test_index_round_trip(toy):
     for triple in toy.triples():
         assert (triple.relation, triple.object) in toy.neighbors_out(triple.subject)
         assert (triple.relation, triple.subject) in toy.neighbors_in(triple.object)
+
+
+def test_edge_views_agree_with_neighbors(toy):
+    """out_edges/in_edges and neighbors_out/in hold exactly the edges a
+    scan of the triples finds, on every node of the toy store and of
+    seeded random stores, and on nodes the store lacks."""
+    rng = random.Random(23)
+    for store in [toy] + [random_store(rng, max_entities=20) for _ in range(6)]:
+        nodes = set(store.all_entities()) | {t.object for t in store.triples()}
+        for node in nodes | {"unknown_id", LiteralValue("float", -1.5)}:
+            ins = {(t.relation, t.subject) for t in store.triples() if t.object == node}
+            assert {(r, s) for r, leaf in store.in_edges(node).items()
+                    for s in leaf} == store.neighbors_in(node) == ins
+            if isinstance(node, str):
+                outs = {(t.relation, t.object) for t in store.triples() if t.subject == node}
+                assert {(r, o) for r, leaf in store.out_edges(node).items()
+                        for o in leaf} == store.neighbors_out(node) == outs
+    assert toy.out_edges("eng1")["sf.oxidizer"] == ("ox1",)
+    assert toy.out_edges("eng1")["type_rel"] is toy.out_edges("eng1")["type_rel"]
+    assert dict(toy.in_edges("unknown_id")) == {}
+
+
+def test_edge_views_are_read_only(toy):
+    for edges in (toy.out_edges("eng1"), toy.in_edges("sf.engine"), toy.out_edges("nobody")):
+        with pytest.raises(TypeError):
+            edges["type_rel"] = ("x",)
+        with pytest.raises(TypeError):
+            del edges["type_rel"]
+
+
+def test_cotypes():
+    builder = StoreBuilder()
+    for subject, obj in [("a", "k.x"), ("a", "k.y"), ("b", "k.y"), ("c", "k.z"),
+                         ("c", LiteralValue("float", 5.0)), ("d", LiteralValue("float", 6.0))]:
+        builder.add_triple(subject, "type_rel", obj)
+    store = builder.freeze()
+    assert store.cotypes("k.x") == {"k.x", "k.y"}
+    assert store.cotypes("k.y") == {"k.x", "k.y"}
+    assert store.cotypes("k.z") == {"k.z"}
+    assert store.cotypes(LiteralValue("integer", 5)) == {"k.z"}
+    assert store.cotypes(LiteralValue("float", 6.0)) == frozenset()
+    assert store.cotypes("a") == frozenset()
 
 
 def test_degree_sums(toy):
