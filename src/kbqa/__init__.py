@@ -15,7 +15,8 @@ from .retrieve import (LexicalScorer, LinkedEntity, Mention, Question,
                        ScoredCandidate, Scorer, detect_mentions, disambiguate,
                        generate_candidates, lexical_score, rank_elfs,
                        ranker_loss, retrieve_schema)
-from .scorers import NgramScorer, OracleScorer, RandomTokenScorer, UniformScorer
+from .scorers import (NgramScorer, OracleScorer, RandomTokenScorer, SparseRow,
+                      UniformScorer)
 from .sexpr import (FunctionClass, LogicalForm, canonicalize, function_class,
                     parse, print_canonical, relation_count, validate_schema)
 from .store import (LiteralValue, SchemaItem, StoreBuilder, Triple, TripleStore,
@@ -31,15 +32,15 @@ __all__ = [
     "LinkedEntity", "LiteralValue", "LogicalForm", "Mention", "NgramScorer",
     "OracleScorer", "Pipeline", "PipelineConfig", "Prediction", "QAExample",
     "Question", "RandomTokenScorer", "SchemaItem", "SchemaTrie",
-    "ScoredCandidate", "Scorer", "SparqlQuery", "StartPoint", "StoreBuilder",
-    "TokenScorer", "Triple", "TripleStore", "UniformScorer", "Vocabulary",
-    "advance", "allowed_next", "answer_f1", "assemble_context", "beam_search",
-    "build_trie", "build_vocabulary", "canonicalize", "compile_sparql",
-    "completeness_oracle", "detect_mentions", "disambiguate",
+    "ScoredCandidate", "Scorer", "SparqlQuery", "SparseRow", "StartPoint",
+    "StoreBuilder", "TokenScorer", "Triple", "TripleStore", "UniformScorer",
+    "Vocabulary", "advance", "allowed_next", "answer_f1", "assemble_context",
+    "beam_search", "build_trie", "build_vocabulary", "canonicalize",
+    "compile_sparql", "completeness_oracle", "detect_mentions", "disambiguate",
     "encode_logical_form", "enumerate_elfs", "evaluate", "evaluate_dataset",
     "evaluate_sparql_subset", "exact_match", "function_class",
-    "generate_candidates", "hits_at_1", "is_valid_prediction",
-    "lexical_score", "load_dataset", "parse", "parse_literal",
-    "print_canonical", "rank_elfs", "ranker_loss", "relation_count",
-    "render_tokens", "retrieve_schema", "sequence_nll", "validate_schema",
+    "generate_candidates", "hits_at_1", "is_valid_prediction", "lexical_score",
+    "load_dataset", "parse", "parse_literal", "print_canonical", "rank_elfs",
+    "ranker_loss", "relation_count", "render_tokens", "retrieve_schema",
+    "sequence_nll", "validate_schema",
 ]

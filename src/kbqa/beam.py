@@ -4,30 +4,39 @@ diagnostic.
 
 Scorers return one log-probability per vocabulary id, log-normalized,
 conditioned on (context, generated prefix); the begin token is implicit
-and never part of a prefix. In constrained mode, log-probs outside the
-grammar's allowed set are treated as -inf before expansion, so every
-finished hypothesis spells a parseable, catalog-valid logical form. In
-unconstrained mode any token may follow any prefix and a hypothesis
-finishes on the first end token, grammatical or not.
+and never part of a prefix. A row is an array, or a `SparseRow` whose
+entries the constrained beam gathers with `take(ids)`, so that a wide
+vocabulary costs nothing beyond the allowed ids. In constrained mode,
+log-probs outside the grammar's allowed set are treated as -inf before
+expansion, so every finished hypothesis spells a parseable,
+catalog-valid logical form. In unconstrained mode any token may follow
+any prefix and a hypothesis finishes on the first end token,
+grammatical or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
 from .grammar import (DecodeContext, GrammarState, advance, allowed_next,
                       initial_state, mask_key)
+from .scorers import SparseRow
 
 
 @runtime_checkable
 class TokenScorer(Protocol):
+    """`next_log_probs` returns a row of vocabulary width: anything
+    `np.asarray` turns into floats, or a `SparseRow`, which the beam
+    reads without densifying. It is called once per live hypothesis per
+    step, and `reentrant = False` serialises calls across threads."""
+
     reentrant: bool
 
     def next_log_probs(self, context: Sequence[int],
-                       prefix: Sequence[int]) -> np.ndarray: ...
+                       prefix: Sequence[int]) -> Union[np.ndarray, SparseRow]: ...
 
 
 def _quantize(score):
@@ -82,15 +91,26 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
         # Each live hypothesis's children: token ids and path scores.
         ids_of, scores_of = [], []
         for hyp in live:
-            row = np.asarray(scorer.next_log_probs(context, hyp.tokens), dtype=float)
+            row = scorer.next_log_probs(context, hyp.tokens)
             if constrained:
                 ids = _allowed_ids(hyp.state, ctx)
-                ids = ids[np.isfinite(row[ids])]
+                if isinstance(row, SparseRow):
+                    # take costs a dict lookup per id, so gather once.
+                    vals = row.take(ids)
+                    finite = np.isfinite(vals)
+                    ids, vals = ids[finite], vals[finite]
+                else:
+                    # Two index gathers beat two boolean masks on an array.
+                    row = np.asarray(row, dtype=float)
+                    ids = ids[np.isfinite(row[ids])]
+                    vals = row[ids]
             else:
                 # Per-hypothesis top beam_size suffices for the global top-k.
+                row = np.asarray(row, dtype=float)
                 ids = _top_ids(row, beam_size)
+                vals = row[ids]
             ids_of.append(ids)
-            scores_of.append(hyp.log_prob + row[ids])
+            scores_of.append(hyp.log_prob + vals)
         n_children = sum(len(ids) for ids in ids_of)
         if not n_children:
             break
@@ -135,7 +155,9 @@ def sequence_nll(scorer: TokenScorer, context: Sequence[int],
     total = 0.0
     prefix: tuple[int, ...] = ()
     for token in target:
-        row = np.asarray(scorer.next_log_probs(context, prefix), dtype=float)
+        row = scorer.next_log_probs(context, prefix)
+        if not isinstance(row, SparseRow):
+            row = np.asarray(row, dtype=float)
         log_prob = float(row[token])
         total -= log_prob
         prefix += (token,)

@@ -3,7 +3,10 @@ smoothed n-gram, peaked oracle (with optional fallback targets and a
 seeded noise spread), pseudo-random (for robustness sweeps), and a
 child-process scorer speaking a line protocol.
 
-Every scorer returns log-normalized rows: exp(row) sums to 1.
+Every scorer returns log-normalized rows: exp(row) sums to 1. A row is
+a float array of vocabulary width, or a `SparseRow`: a constant row
+with a few overrides, which the constrained beam reads through
+`take(ids)` without ever building its dense form.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 import shlex
 import subprocess
 import threading
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,14 +29,63 @@ def _stable_seed(*parts) -> int:
     return hash(tuple(parts)) & 0x7FFFFFFF
 
 
+class SparseRow:
+    """An immutable row of `size` log-probs, equal to `fill` everywhere
+    except at the ids in `values`. `np.asarray(row)` builds the dense
+    row, fresh on each call; `take(ids)` reads entries without it."""
+
+    __slots__ = ("size", "fill", "_values")
+
+    def __init__(self, size: int, fill: float, values: Mapping[int, float] = {}):
+        if any(not 0 <= token < size for token in values):
+            raise IndexError(f"row ids must lie in [0, {size})")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "fill", float(fill))
+        object.__setattr__(self, "_values", dict(values))
+
+    def __setattr__(self, *_):
+        raise AttributeError("SparseRow is immutable")
+
+    __delattr__ = __setattr__
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a SparseRow has no dense array to share")
+        row = np.full(self.size, self.fill)
+        if self._values:
+            row[list(self._values)] = list(self._values.values())
+        return row if dtype is None else row.astype(dtype, copy=False)
+
+    def take(self, ids: np.ndarray) -> np.ndarray:
+        """The entries at an integer array of ids, each in [0, size), as
+        a new float array; O(len(ids))."""
+        if not self._values:
+            return np.full(len(ids), self.fill)
+        get, fill = self._values.get, self.fill
+        return np.array([get(i, fill) for i in ids.tolist()], dtype=float)
+
+    def __getitem__(self, key):
+        """An entry for an int, the entries for an id array; negative ids
+        count from the end, as for an array."""
+        ids = np.asarray(key)
+        if ids.dtype.kind not in "iu":
+            raise IndexError("a SparseRow is indexed by ids")
+        ids = np.where(ids < 0, ids + self.size, ids)
+        if ((ids < 0) | (ids >= self.size)).any():
+            raise IndexError(f"row ids must lie in [-{self.size}, {self.size})")
+        if ids.ndim == 0:
+            return self._values.get(int(ids), self.fill)
+        return self.take(ids.ravel()).reshape(ids.shape)
+
+
 class UniformScorer:
     reentrant = True
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
-        self._row = np.full(vocab_size, -math.log(vocab_size))
+        self._row = SparseRow(vocab_size, -math.log(vocab_size))
 
-    def next_log_probs(self, context, prefix) -> np.ndarray:
+    def next_log_probs(self, context, prefix) -> SparseRow:
         return self._row
 
 
@@ -51,7 +103,7 @@ class NgramScorer:
         self.order = order
         self.begin_id = begin_id
         self._counts: dict[tuple[int, ...], dict[int, int]] = {}
-        self._totals: dict[tuple[int, ...], int] = {}
+        totals: dict[tuple[int, ...], int] = {}
         pad = (begin_id,) * (order - 1)
         for seq in corpus:
             padded = pad + tuple(seq)
@@ -60,17 +112,18 @@ class NgramScorer:
                 token = padded[i]
                 by_tok = self._counts.setdefault(history, {})
                 by_tok[token] = by_tok.get(token, 0) + 1
-                self._totals[history] = self._totals.get(history, 0) + 1
+                totals[history] = totals.get(history, 0) + 1
+        self._rows: dict[tuple[int, ...], SparseRow] = {}
+        for history, by_tok in self._counts.items():
+            denom = totals[history] + vocab_size
+            self._rows[history] = SparseRow(vocab_size, -math.log(denom), {
+                token: math.log((count + 1) / denom) for token, count in by_tok.items()})
+        self._unseen = SparseRow(vocab_size, -math.log(vocab_size))
 
-    def next_log_probs(self, context, prefix) -> np.ndarray:
+    def next_log_probs(self, context, prefix) -> SparseRow:
         history = ((self.begin_id,) * (self.order - 1) + tuple(prefix))
         history = history[len(history) - (self.order - 1):] if self.order > 1 else ()
-        total = self._totals.get(history, 0)
-        denom = total + self.vocab_size
-        row = np.full(self.vocab_size, -math.log(denom))
-        for token, count in self._counts.get(history, {}).items():
-            row[token] = math.log((count + 1) / denom)
-        return row
+        return self._rows.get(history, self._unseen)
 
 
 class OracleScorer:
@@ -90,6 +143,7 @@ class OracleScorer:
         self.vocab_size = vocab_size
         self.eps = eps
         self.rng_seed = rng_seed
+        self._off_target = SparseRow(vocab_size, -math.log(vocab_size))
 
     def _desired(self, prefix: tuple[int, ...]) -> Optional[int]:
         for target in self.targets:
@@ -97,15 +151,15 @@ class OracleScorer:
                 return target[len(prefix)]
         return None
 
-    def next_log_probs(self, context, prefix) -> np.ndarray:
+    def next_log_probs(self, context, prefix) -> Union[np.ndarray, SparseRow]:
         prefix = tuple(prefix)
         desired = self._desired(prefix)
         if desired is None:
-            return np.full(self.vocab_size, -math.log(self.vocab_size))
+            return self._off_target
         if self.eps == 0.0:
-            row = np.full(self.vocab_size, -np.inf)
-            row[desired] = 0.0
-            return row
+            return SparseRow(self.vocab_size, -math.inf, {desired: 0.0})
+        # The eps spread stays dense: a seeded one draws all vocab_size
+        # weights, and an unseeded one is logged by np.log.
         if self.rng_seed is None:
             spread = np.full(self.vocab_size, self.eps / (self.vocab_size - 1))
         else:

@@ -469,12 +469,6 @@ class TripleStore:
         leaves = self._ops.get(obj)
         return _NO_EDGES if leaves is None else MappingProxyType(leaves)
 
-    def neighbors_out(self, subject: str) -> set[tuple[str, Object]]:
-        return {(r, o) for r, objs in self.out_edges(subject).items() for o in objs}
-
-    def neighbors_in(self, obj: Object) -> set[tuple[str, str]]:
-        return {(r, s) for r, subs in self.in_edges(obj).items() for s in subs}
-
     def objects_of(self, subject: str, relation: str) -> set:
         return set(self.out_edges(subject).get(relation, ()))
 

@@ -8,7 +8,7 @@ from kbqa.beam import Hypothesis, beam_search, sequence_nll
 from kbqa.fixtures import random_store, toy_store
 from kbqa.grammar import DecodeContext, advance, allowed_next, initial_state, render_tokens
 from kbqa.scorers import (NgramScorer, OracleScorer, RandomTokenScorer,
-                          UniformScorer, ngram_scorer_from_forms)
+                          SparseRow, UniformScorer, ngram_scorer_from_forms)
 from kbqa.sexpr import parse, print_canonical, validate_schema
 from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
@@ -312,8 +312,14 @@ def test_array_step_matches_reference_loop():
     for n, store in enumerate(stores):
         entities = sorted(store.all_entities())
         ctx, _ = make_ctx(store, linked=entities[:1 + n % 3])
-        for seed in range(3):
-            scorer = RandomTokenScorer(ctx.vocab.size, seed=100 * n + seed)
+        size = ctx.vocab.size
+        scorers = {seed: RandomTokenScorer(size, seed=100 * n + seed) for seed in range(3)}
+        # An n-gram model of forms the grammar accepts, so that its sparse
+        # rows have overrides on the allowed ids.
+        corpus = [h.tokens for h in beam_search(RandomTokenScorer(size, seed=n), (), ctx,
+                                                beam_size=10, max_len=40)]
+        scorers["ngram"] = NgramScorer(corpus, size, begin_id=ctx.vocab.begin_id)
+        for seed, scorer in scorers.items():
             for constrained in (True, False):
                 for beam_size in (1, 3, 10):
                     got = beam_search(scorer, (), ctx, constrained=constrained,
@@ -325,6 +331,40 @@ def test_array_step_matches_reference_loop():
                         [h.log_prob.hex() for h in want]
                     compared += len(got)
     assert compared > 100
+
+
+class PassThroughScorer:
+    """Forwards next_log_probs and nothing else, as a counting wrapper
+    does."""
+    reentrant = True
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_log_probs(self, context, prefix):
+        return self.inner.next_log_probs(context, prefix)
+
+
+def test_sparse_rows_survive_a_pass_through_wrapper(monkeypatch):
+    """Constrained search through a wrapper never densifies a SparseRow,
+    and finds what the bare scorer finds."""
+    ctx, _ = make_ctx()
+    size = ctx.vocab.size
+    forms = ["(JOIN ms.length_units e1)",
+             "(AND ms.system (JOIN ms.length_units e1))",
+             "(COUNT sf.engine)"]
+    scorers = [UniformScorer(size), ngram_scorer_from_forms(forms, ctx.vocab),
+               OracleScorer(encode_target(ctx, forms[1]), size, eps=0.0)]
+    bare = [beam_search(scorer, (), ctx, beam_size=5, max_len=48) for scorer in scorers]
+    assert all(bare[1:])  # flat uniform rows may finish nothing
+
+    def no_dense_row(self, dtype=None, copy=None):
+        raise AssertionError("a SparseRow was densified")
+
+    monkeypatch.setattr(SparseRow, "__array__", no_dense_row)
+    for scorer, want in zip(scorers, bare):
+        got = beam_search(PassThroughScorer(scorer), (), ctx, beam_size=5, max_len=48)
+        assert got == want
 
 
 def test_scores_that_tie_only_under_numpy_rounding():

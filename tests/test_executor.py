@@ -23,8 +23,8 @@ def test_case_one_analogue(toy):
     answer = evaluate(parse("(AND ms.system (JOIN ms.length_units e1))"), toy)
     expected = brute_force_entities(
         toy, lambda n: isinstance(n, str)
-        and ("type_rel", "ms.system") in toy.neighbors_out(n)
-        and ("ms.length_units", "e1") in toy.neighbors_out(n))
+        and "ms.system" in toy.out_edges(n).get("type_rel", ())
+        and "e1" in toy.out_edges(n).get("ms.length_units", ()))
     assert answer.entities == expected == {"sys1"}
 
 

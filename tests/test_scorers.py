@@ -7,8 +7,8 @@ import pytest
 from kbqa.errors import ScorerProtocolError
 from kbqa.fixtures import toy_store
 from kbqa.scorers import (ExternalTokenScorer, NgramScorer, OracleScorer,
-                          RandomTokenScorer, UniformScorer,
-                          ngram_scorer_from_forms)
+                          RandomTokenScorer, SparseRow, UniformScorer,
+                          _stable_seed, ngram_scorer_from_forms)
 from kbqa.vocab import build_vocabulary, encode_logical_form
 
 
@@ -122,6 +122,124 @@ def test_ngram_from_forms_end_token(vocab):
 
 def _child(script: str) -> str:
     return f'{sys.executable} -u -c "{script}"'
+
+
+def dense_reference(scorer, prefix):
+    """The row as each scorer built it densely: np.full, then assignment."""
+    size = scorer.vocab_size
+    prefix = tuple(prefix)
+    if isinstance(scorer, UniformScorer):
+        return np.full(size, -math.log(size))
+    if isinstance(scorer, NgramScorer):
+        history = ((scorer.begin_id,) * (scorer.order - 1) + prefix)
+        history = history[len(history) - (scorer.order - 1):] if scorer.order > 1 else ()
+        counts = scorer._counts.get(history, {})
+        denom = sum(counts.values()) + size
+        row = np.full(size, -math.log(denom))
+        for token, count in counts.items():
+            row[token] = math.log((count + 1) / denom)
+        return row
+    if isinstance(scorer, OracleScorer):
+        desired = scorer._desired(prefix)
+        if desired is None:
+            return np.full(size, -math.log(size))
+        if scorer.eps == 0.0:
+            row = np.full(size, -np.inf)
+            row[desired] = 0.0
+            return row
+        if scorer.rng_seed is None:
+            probs = np.full(size, scorer.eps / (size - 1))
+        else:
+            rng = np.random.default_rng(_stable_seed(scorer.rng_seed, *prefix))
+            weights = rng.random(size)
+            weights[desired] = 0.0
+            probs = weights * (scorer.eps / weights.sum())
+        probs[desired] = 1.0 - scorer.eps
+        with np.errstate(divide="ignore"):
+            return np.log(probs)
+    assert isinstance(scorer, RandomTokenScorer)
+    rng = np.random.default_rng(_stable_seed(scorer.seed, *prefix))
+    logits = rng.normal(size=size)
+    logits -= logits.max()
+    return logits - math.log(np.exp(logits).sum())
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.asarray(values).tolist()]
+
+
+def test_rows_match_dense_reference(vocab):
+    """take(ids), row[ids] and np.asarray(row)[ids] agree by float.hex,
+    with each other and with the dense reference, for every built-in
+    scorer over random prefixes and id arrays: unsorted, repeated and
+    empty ones included."""
+    size = vocab.size
+    forms = ["(COUNT sf.engine)", "(AND ms.system (JOIN ms.length_units e1))",
+             "(JOIN ms.length_units e1)"]
+    targets = [tuple(encode_logical_form(vocab, f)) + (vocab.end_id,) for f in forms]
+    script = (
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    n = len(line.rstrip(chr(10)).split(chr(9))[2])\n"
+        f"    print(' '.join(str(-1.0 - ((i * 7 + n) % 11)) for i in range({size})))\n"
+        "    sys.stdout.flush()"
+    )
+    external = ExternalTokenScorer(_child(script), size)
+    scorers = [
+        UniformScorer(size),
+        NgramScorer(targets, size, begin_id=vocab.begin_id),
+        NgramScorer(targets, size, order=1, begin_id=vocab.begin_id),
+        OracleScorer(targets[0], size, eps=0.0, fallback_targets=targets[1:]),
+        OracleScorer(targets[0], size, eps=0.25),
+        OracleScorer(targets[1], size, eps=0.25, rng_seed=3),
+        RandomTokenScorer(size, seed=0),
+    ]
+    rng = np.random.default_rng(11)
+    try:
+        for scorer in scorers + [external]:
+            prefixes = [t[:i] for t in targets for i in range(len(t))]
+            prefixes += [tuple(rng.integers(0, size, rng.integers(1, 6)).tolist())
+                         for _ in range(10)]
+            for prefix in prefixes:
+                row = scorer.next_log_probs((), prefix)
+                dense = np.asarray(row)
+                assert dense.shape == (size,)
+                reference = None if scorer is external else dense_reference(scorer, prefix)
+                for n_ids in (0, 1, 3, 17, 2 * size):
+                    ids = rng.integers(0, size, n_ids)  # unsorted, repeats likely
+                    want = hexes(dense[ids])
+                    assert hexes(row.take(ids)) == hexes(row[ids]) == want
+                    if reference is not None:
+                        assert hexes(reference[ids]) == want
+                for token in (0, size - 1, -1, int(rng.integers(size))):
+                    assert hexes([row[token]]) == hexes([dense[token]])
+    finally:
+        external.close()
+
+
+def test_uniform_rows_are_not_shared():
+    scorer = UniformScorer(5)
+    np.asarray(scorer.next_log_probs((), ()))[:] = 0.0
+    assert np.array_equal(np.asarray(scorer.next_log_probs((), (1,))),
+                          np.full(5, -math.log(5)))
+
+
+def test_sparse_row_is_immutable_and_checks_ids():
+    row = SparseRow(4, -2.0, {2: -0.5})
+    assert hexes(np.asarray(row)) == hexes([-2.0, -2.0, -0.5, -2.0])
+    assert np.asarray(row, dtype=np.float32).dtype == np.float32
+    assert np.asarray(row) is not np.asarray(row)
+    with pytest.raises(AttributeError):
+        row.fill = 0.0
+    with pytest.raises(AttributeError):
+        del row.size
+    with pytest.raises(ValueError):
+        row.__array__(copy=False)
+    with pytest.raises(IndexError):
+        SparseRow(4, -2.0, {4: 0.0})
+    for key in (4, -5, np.array([0, 4]), np.array([0.0])):
+        with pytest.raises(IndexError):
+            row[key]
 
 
 def test_external_token_scorer():
