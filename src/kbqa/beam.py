@@ -93,17 +93,12 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
         for hyp in live:
             row = scorer.next_log_probs(context, hyp.tokens)
             if constrained:
-                ids = _allowed_ids(hyp.state, ctx)
-                if isinstance(row, SparseRow):
-                    # take costs a dict lookup per id, so gather once.
-                    vals = row.take(ids)
-                    finite = np.isfinite(vals)
-                    ids, vals = ids[finite], vals[finite]
-                else:
-                    # Two index gathers beat two boolean masks on an array.
+                if not isinstance(row, SparseRow):
                     row = np.asarray(row, dtype=float)
-                    ids = ids[np.isfinite(row[ids])]
-                    vals = row[ids]
+                ids = _allowed_ids(hyp.state, ctx)
+                vals = row.take(ids)
+                finite = np.isfinite(vals)
+                ids, vals = ids[finite], vals[finite]
             else:
                 # Per-hypothesis top beam_size suffices for the global top-k.
                 row = np.asarray(row, dtype=float)

@@ -12,6 +12,7 @@ with a few overrides, which the constrained beam reads through
 from __future__ import annotations
 
 import math
+import operator
 import shlex
 import subprocess
 import threading
@@ -64,18 +65,12 @@ class SparseRow:
         get, fill = self._values.get, self.fill
         return np.array([get(i, fill) for i in ids.tolist()], dtype=float)
 
-    def __getitem__(self, key):
-        """An entry for an int, the entries for an id array; negative ids
-        count from the end, as for an array."""
-        ids = np.asarray(key)
-        if ids.dtype.kind not in "iu":
-            raise IndexError("a SparseRow is indexed by ids")
-        ids = np.where(ids < 0, ids + self.size, ids)
-        if ((ids < 0) | (ids >= self.size)).any():
-            raise IndexError(f"row ids must lie in [-{self.size}, {self.size})")
-        if ids.ndim == 0:
-            return self._values.get(int(ids), self.fill)
-        return self.take(ids.ravel()).reshape(ids.shape)
+    def __getitem__(self, token: int) -> float:
+        """The entry at one id in [0, size); `take` gathers an id array."""
+        token = operator.index(token)
+        if not 0 <= token < self.size:
+            raise IndexError(f"row ids must lie in [0, {self.size})")
+        return self._values.get(token, self.fill)
 
 
 class UniformScorer:

@@ -169,8 +169,8 @@ def hexes(values):
 
 
 def test_rows_match_dense_reference(vocab):
-    """take(ids), row[ids] and np.asarray(row)[ids] agree by float.hex,
-    with each other and with the dense reference, for every built-in
+    """take(ids) and np.asarray(row)[ids] agree by float.hex, with each
+    other and with the dense reference, for every built-in
     scorer over random prefixes and id arrays: unsorted, repeated and
     empty ones included."""
     size = vocab.size
@@ -208,10 +208,10 @@ def test_rows_match_dense_reference(vocab):
                 for n_ids in (0, 1, 3, 17, 2 * size):
                     ids = rng.integers(0, size, n_ids)  # unsorted, repeats likely
                     want = hexes(dense[ids])
-                    assert hexes(row.take(ids)) == hexes(row[ids]) == want
+                    assert hexes(row.take(ids)) == want
                     if reference is not None:
                         assert hexes(reference[ids]) == want
-                for token in (0, size - 1, -1, int(rng.integers(size))):
+                for token in (0, size - 1, int(rng.integers(size))):
                     assert hexes([row[token]]) == hexes([dense[token]])
     finally:
         external.close()
@@ -237,8 +237,12 @@ def test_sparse_row_is_immutable_and_checks_ids():
         row.__array__(copy=False)
     with pytest.raises(IndexError):
         SparseRow(4, -2.0, {4: 0.0})
-    for key in (4, -5, np.array([0, 4]), np.array([0.0])):
+    assert row[np.int64(2)] == -0.5
+    for key in (4, -1):
         with pytest.raises(IndexError):
+            row[key]
+    for key in (np.array([0, 2]), 2.0):
+        with pytest.raises(TypeError):
             row[key]
 
 
