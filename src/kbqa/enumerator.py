@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .executor import evaluate
 from .sexpr import (And, ClassRef, EntityRef, Join, LiteralRef, LogicalForm,
                     Reverse, print_canonical, relation_count)
 from .store import LiteralValue, TripleStore
@@ -55,7 +54,6 @@ class StartPoint:
 @dataclass(frozen=True)
 class EnumConfig:
     hop_limit: int = 2
-    include_class_constraint: bool = True
     max_candidates: int = 2000
 
     def __post_init__(self):
@@ -106,11 +104,10 @@ def enumerate_elfs(starts: list[StartPoint], store: TripleStore,
     def keep(base_members, joins: list[tuple[Join, set]]) -> None:
         for form, members in joins:
             collected.setdefault(print_canonical(form), form)
-            if cfg.include_class_constraint:
-                # A class read from a member's type edge has that member
-                # among its instances, so a wrap is never empty.
-                for wrapped in _class_wraps(form, members, base_members, store):
-                    collected.setdefault(print_canonical(wrapped), wrapped)
+            # A class read from a member's type edge has that member
+            # among its instances, so a wrap is never empty.
+            for wrapped in _class_wraps(form, members, base_members, store):
+                collected.setdefault(print_canonical(wrapped), wrapped)
 
     for start in dict.fromkeys(starts):
         if not store.has_node(start.value):
@@ -124,45 +121,3 @@ def enumerate_elfs(starts: list[StartPoint], store: TripleStore,
     ordered = sorted(collected.items(), key=lambda kv: (relation_count(kv[1]), kv[0]))
     return [form for _key, form in ordered[:cfg.max_candidates]]
 
-
-def completeness_oracle(starts: list[StartPoint], store: TripleStore,
-                        cfg: EnumConfig = EnumConfig()) -> list[LogicalForm]:
-    """Brute-force reference: try every relation from the catalog in
-    every orientation at every hop, keep what evaluates non-empty.
-    Exercised by tests against enumerate_elfs; quadratic in the catalog."""
-    relations = store.relations()
-    classes = store.classes()
-    collected: dict[str, LogicalForm] = {}
-
-    def keep_nonempty(form: LogicalForm) -> bool:
-        answer = evaluate(form, store)
-        if answer.is_empty():
-            return False
-        collected.setdefault(print_canonical(form), form)
-        return True
-
-    def wraps(form: LogicalForm) -> None:
-        if not cfg.include_class_constraint:
-            return
-        for class_name in classes:
-            keep_nonempty(And(ClassRef(class_name), form))
-
-    for start in dict.fromkeys(starts):
-        anchor = start.ref()
-        level1 = []
-        for relation in relations:
-            for candidate in (Join(relation, anchor), Join(Reverse(relation), anchor)):
-                if keep_nonempty(candidate):
-                    level1.append(candidate)
-                    wraps(candidate)
-        if cfg.hop_limit < 2:
-            continue
-        for base in level1:
-            for relation in relations:
-                for candidate in (Join(relation, base), Join(Reverse(relation), base)):
-                    if keep_nonempty(candidate):
-                        wraps(candidate)
-
-    ordered = sorted(collected.values(),
-                     key=lambda f: (relation_count(f), print_canonical(f)))
-    return ordered[:cfg.max_candidates]

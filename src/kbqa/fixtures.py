@@ -1,13 +1,11 @@
-"""Reusable KB fixtures: the small hand-built toy store the test suite
-leans on, three question fixtures exercising known failure modes
-(disconnected relation, missed comparative, out-of-catalog name), and
-seeded random/synthetic store generators.
+"""Bundled KB fixtures: the small hand-built toy store (`--kb toy:`),
+and a seeded synthetic store at the scale the latency floor and the
+benchmark are measured at.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .store import LiteralValue, StoreBuilder, TripleStore
 
@@ -49,161 +47,11 @@ def toy_store() -> TripleStore:
     return builder.freeze()
 
 
-def toy_triples_tsv() -> str:
-    lines = []
-    for subject, relation, obj in TOY_TRIPLES:
-        text = obj.text() if isinstance(obj, LiteralValue) else obj
-        lines.append(f"{subject}\t{relation}\t{text}")
-    return "\n".join(lines) + "\n"
-
-
-def toy_aliases_tsv() -> str:
-    return "".join(f"{a}\t{e}\t{p}\n" for a, e, p in TOY_ALIASES)
-
-
 # ---------------------------------------------------------------------------
-# question fixtures around known failure modes
-
-
-@dataclass(frozen=True)
-class CaseFixture:
-    name: str
-    store: TripleStore
-    question: str
-    correct: str          # the form the pipeline should end up with
-    error_variant: str    # the form a misled generator prefers
-    answers: tuple[str, ...]
-    extra_words: tuple[str, ...] = field(default=())  # vocab for the error variant
-
-
-def case_disconnected_relation() -> CaseFixture:
-    """The misled form names a catalog relation that is not connected to
-    the mentioned entity, so it executes to an empty answer."""
-    builder = StoreBuilder()
-    builder.add_triple("m.0syst1", "type_rel", "measurement_unit.measurement_system")
-    builder.add_triple("m.0syst1", "measurement_unit.measurement_system.length_units",
-                       "m.01p5ld")
-    builder.add_triple("m.0syst1", "measurement_unit.measurement_system.substance_units",
-                       "m.0subst")
-    builder.set_entity_label("m.01p5ld", "decimetre")
-    builder.set_entity_label("m.0syst1", "metric system")
-    builder.set_entity_label("m.0subst", "mole")
-    builder.add_alias("decimetre", "m.01p5ld", 0.9)
-    builder.add_alias("metric system", "m.0syst1", 0.4)
-    return CaseFixture(
-        name="disconnected-relation",
-        store=builder.freeze(),
-        question="name the system that has decimetre as a measurement unit.",
-        correct="(AND measurement_unit.measurement_system "
-                "(JOIN measurement_unit.measurement_system.length_units m.01p5ld))",
-        error_variant="(AND measurement_unit.measurement_system "
-                      "(JOIN measurement_unit.measurement_system.substance_units m.01p5ld))",
-        answers=("m.0syst1",),
-    )
-
-
-def case_missed_comparative() -> CaseFixture:
-    """The misled form joins the pressure relation directly onto the
-    literal instead of comparing, and no triple carries that exact
-    value, so it executes to an empty answer."""
-    builder = StoreBuilder()
-    cls = "spaceflight.bipropellant_rocket_engine"
-    oxidizer = "spaceflight.bipropellant_rocket_engine.oxidizer"
-    pressure = "spaceflight.bipropellant_rocket_engine.chamber_pressure"
-    builder.add_triple("m.0eng1", "type_rel", cls)
-    builder.add_triple("m.0eng2", "type_rel", cls)
-    builder.add_triple("m.0eng1", oxidizer, "m.01tm_5")
-    builder.add_triple("m.0eng2", oxidizer, "m.0n2o4")
-    builder.add_triple("m.0eng1", pressure, LiteralValue("float", 100.0, "float"))
-    builder.add_triple("m.0eng2", pressure, LiteralValue("float", 300.0, "float"))
-    builder.set_entity_label("m.0eng1", "kestrel engine")
-    builder.set_entity_label("m.0eng2", "viking engine")
-    builder.set_entity_label("m.01tm_5", "lox")
-    builder.set_entity_label("m.0n2o4", "nitrogen tetroxide")
-    builder.add_alias("lox", "m.01tm_5", 0.8)
-    builder.add_alias("kestrel engine", "m.0eng1", 0.5)
-    builder.add_alias("viking engine", "m.0eng2", 0.5)
-    return CaseFixture(
-        name="missed-comparative",
-        store=builder.freeze(),
-        question="which bipropellant rocket engine has a chamber pressure of "
-                 "less than 257.0 and uses an oxidizer of lox?",
-        correct=f"(AND {cls} (AND (JOIN {oxidizer} m.01tm_5) "
-                f"(lt {pressure} 257.0^^float)))",
-        error_variant=f"(AND {cls} (JOIN {pressure} 257.0^^float))",
-        answers=("m.0eng1",),
-    )
-
-
-def case_out_of_catalog() -> CaseFixture:
-    """The misled form names a class that does not exist in the KB at
-    all; with masking off it is emitted verbatim and fails validation."""
-    builder = StoreBuilder()
-    cls = "measurement_unit.unit_of_resistivity"
-    rel = "measurement_unit.unit_of_resistivity.resistivity_in_ohm_meters"
-    builder.add_triple("m.0ohmm", "type_rel", cls)
-    builder.add_triple("m.0resu2", "type_rel", cls)
-    builder.add_triple("m.0ohmm", rel, LiteralValue("float", 1.0, "float"))
-    builder.add_triple("m.0resu2", rel, LiteralValue("float", 5.0, "float"))
-    builder.set_entity_label("m.0ohmm", "ohm metre")
-    builder.set_entity_label("m.0resu2", "statohm centimetre")
-    return CaseFixture(
-        name="out-of-catalog",
-        store=builder.freeze(),
-        question="find the smallest possible unit of resistivity.",
-        correct=f"(ARGMIN {cls} {rel})",
-        error_variant=f"(ARGMIN measurement_unit.unit_of_resistance_unit {rel})",
-        answers=("m.0ohmm",),
-        extra_words=("resistance",),
-    )
-
-
-def all_cases() -> list[CaseFixture]:
-    return [case_disconnected_relation(), case_missed_comparative(),
-            case_out_of_catalog()]
-
-
-# ---------------------------------------------------------------------------
-# seeded generators
+# seeded generator
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "omega", "lumen", "terra",
           "nexus", "core", "shade", "pulse", "ridge", "flux", "orbit")
-
-
-def random_store(rng: random.Random, max_entities: int = 30) -> TripleStore:
-    """Small random store: a few classes, relations with entity and
-    float-literal ranges, alias rows for a sample of entities."""
-    builder = StoreBuilder()
-    n_entities = rng.randint(4, max_entities)
-    entities = [f"e{i}" for i in range(n_entities)]
-    n_classes = rng.randint(1, 4)
-    classes = []
-    for i in range(n_classes):
-        word = rng.choice(_WORDS)
-        classes.append(f"ns{i}.{word}_kind")
-    relations = []
-    for i in range(rng.randint(2, 6)):
-        left = rng.choice(_WORDS)
-        right = rng.choice(_WORDS)
-        relations.append(f"ns{i % n_classes}.{left}_kind.{right}_of")
-    numeric_rel = f"ns0.{rng.choice(_WORDS)}_kind.amount_value"
-
-    for entity in entities:
-        if rng.random() < 0.8:
-            builder.add_triple(entity, "type_rel", rng.choice(classes))
-    n_edges = rng.randint(n_entities, n_entities * 3)
-    for _ in range(n_edges):
-        builder.add_triple(rng.choice(entities), rng.choice(relations),
-                           rng.choice(entities))
-    for entity in rng.sample(entities, k=max(1, n_entities // 3)):
-        value = round(rng.uniform(0.0, 500.0), 1)
-        builder.add_triple(entity, numeric_rel,
-                           LiteralValue("float", value, "float"))
-    for entity in rng.sample(entities, k=max(1, n_entities // 4)):
-        alias = f"{rng.choice(_WORDS)} {entity}"
-        builder.set_entity_label(entity, alias)
-        builder.add_alias(alias, entity, round(rng.random(), 2))
-    return builder.freeze()
 
 
 def synthetic_store(n_entities: int = 1000, seed: int = 7) -> TripleStore:

@@ -107,16 +107,12 @@ def assemble_context(vocab: Vocabulary, question: Question,
                      links: Sequence[LinkedEntity],
                      elfs: Sequence[ScoredCandidate],
                      schema: tuple[Sequence[ScoredCandidate], Sequence[ScoredCandidate]],
-                     budget: int = 1000,
-                     store: Optional[TripleStore] = None) -> AssembledContext:
+                     budget: int = 1000, *, store: TripleStore) -> AssembledContext:
     """Deterministic flattened context: question, then sentinel-headed
     entity, logical-form, and schema sections. When the budget is
     exceeded, whole items drop from the tail of the sequence (never
     mid-item); the three sentinels always survive."""
-    entities = tuple(
-        (store.entity_label(link.entity) if store is not None else link.mention.surface,
-         link.entity)
-        for link in links)
+    entities = tuple((store.entity_label(link.entity), link.entity) for link in links)
     elf_prints = tuple(cand.text() for cand in elfs)
     schema_names = tuple(cand.text() for cand in schema[0]) + tuple(
         cand.text() for cand in schema[1])

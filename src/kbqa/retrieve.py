@@ -133,11 +133,6 @@ class LexicalScorer:
         return overlap + 0.1 * tri
 
 
-def lexical_score(question: Question, candidate_text: str) -> float:
-    """Corpus-free baseline scorer (all IDF weights 1)."""
-    return LexicalScorer().score(question, candidate_text)
-
-
 def build_lexical_scorer(store: TripleStore) -> LexicalScorer:
     corpus = list(store.catalog)
     for entity in sorted(store.all_entities()):

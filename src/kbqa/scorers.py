@@ -1,7 +1,7 @@
 """Drop-in token scorers for the beam decoder: uniform, add-one
 smoothed n-gram, peaked oracle (with optional fallback targets and a
-seeded noise spread), pseudo-random (for robustness sweeps), and a
-child-process scorer speaking a line protocol.
+seeded noise spread), and a child-process scorer speaking a line
+protocol.
 
 Every scorer returns log-normalized rows: exp(row) sums to 1. A row is
 a float array of vocabulary width, or a `SparseRow`: a constant row
@@ -166,23 +166,6 @@ class OracleScorer:
         probs[desired] = 1.0 - self.eps
         with np.errstate(divide="ignore"):
             return np.log(probs)
-
-
-class RandomTokenScorer:
-    """Deterministic pseudo-random rows keyed by (seed, prefix); used to
-    stress the constrained-validity guarantee."""
-
-    reentrant = True
-
-    def __init__(self, vocab_size: int, seed: int = 0):
-        self.vocab_size = vocab_size
-        self.seed = seed
-
-    def next_log_probs(self, context, prefix) -> np.ndarray:
-        rng = np.random.default_rng(_stable_seed(self.seed, *prefix))
-        logits = rng.normal(size=self.vocab_size)
-        logits -= logits.max()
-        return logits - math.log(np.exp(logits).sum())
 
 
 class LineProcess:

@@ -1,8 +1,8 @@
 """Immutable, indexed in-memory knowledge base.
 
 A store holds (subject, relation, object) triples, a schema catalog of
-classes and relations, and per-entity metadata (label, aliases,
-popularity). Ingestion goes through :class:`StoreBuilder`; `freeze()`
+classes and relations, per-entity metadata (label, aliases), and an
+alias index ranked by popularity. Ingestion goes through :class:`StoreBuilder`; `freeze()`
 produces a :class:`TripleStore` that is read-only and safe to share
 across threads.
 
@@ -152,7 +152,6 @@ class Triple(NamedTuple):
 class EntityMeta:
     label: str = ""
     aliases: tuple[str, ...] = ()
-    popularity: float = 0.0
 
 
 _WORD_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?")
@@ -393,14 +392,11 @@ class TripleStore:
                 cotypes.setdefault(o, set()).update(classes)
 
         alias_index: dict[str, list[tuple[str, float]]] = {}
-        best_pop: dict[str, float] = {}
         alias_lists: dict[str, list[str]] = {}
         for alias, entity, popularity in builder._alias_rows:
             folded = fold_surface(alias)
             alias_index.setdefault(folded, []).append((entity, popularity))
             alias_lists.setdefault(entity, []).append(alias)
-            if popularity >= best_pop.get(entity, -1.0):
-                best_pop[entity] = popularity
             entities.add(entity)
         for folded, rows in alias_index.items():
             # popularity descending, ties by entity id for determinism
@@ -410,7 +406,7 @@ class TripleStore:
         for entity in entities:
             aliases = tuple(dict.fromkeys(alias_lists.get(entity, ())))
             label = builder._labels.get(entity) or (aliases[0] if aliases else "")
-            meta[entity] = EntityMeta(label, aliases, best_pop.get(entity, 0.0))
+            meta[entity] = EntityMeta(label, aliases)
 
         for index in (spo, ops):
             for leaves in index.values():

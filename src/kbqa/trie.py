@@ -26,18 +26,12 @@ class TrieNode:
 class SchemaTrie:
     def __init__(self):
         self.root = TrieNode()
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
 
     def insert(self, token_ids: Iterable[int]) -> None:
         node = self.root
         for token_id in token_ids:
             node = node.children.setdefault(token_id, TrieNode())
-        if not node.terminal:
-            node.terminal = True
-            self._count += 1
+        node.terminal = True
 
     def walk(self, token_ids: Iterable[int]) -> TrieNode | None:
         node = self.root
@@ -46,10 +40,6 @@ class SchemaTrie:
             if node is None:
                 return None
         return node
-
-    def contains(self, token_ids: Iterable[int]) -> bool:
-        node = self.walk(token_ids)
-        return node is not None and node.terminal
 
     def terminal_paths(self) -> Iterator[tuple[int, ...]]:
         stack: list[tuple[TrieNode, tuple[int, ...]]] = [(self.root, ())]
@@ -82,16 +72,3 @@ def build_trie(items: Iterable[str], vocab: Vocabulary) -> SchemaTrie:
                     "schema names must have the shape word(sep word)*")
     return trie
 
-
-def items_of(trie: SchemaTrie, vocab: Vocabulary) -> list[str]:
-    """Spell out every terminal path; inverse of build_trie."""
-    return sorted("".join(vocab.tokens(path)) for path in trie.terminal_paths())
-
-
-def dump_trie(trie: SchemaTrie, vocab: Vocabulary) -> str:
-    """One item per line; rebuildable with build_trie."""
-    return "\n".join(items_of(trie, vocab)) + "\n"
-
-
-def load_trie(text: str, vocab: Vocabulary) -> SchemaTrie:
-    return build_trie((line for line in text.splitlines() if line.strip()), vocab)

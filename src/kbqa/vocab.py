@@ -103,10 +103,6 @@ class Vocabulary:
     def end_id(self) -> int:
         return self._tok_to_id[END]
 
-    @property
-    def unk_id(self) -> int:
-        return self._tok_to_id[UNK]
-
 
 def tokenize_name(name: str) -> list[str]:
     """Split a schema name on "." and "_", keeping separators.

@@ -1,5 +1,6 @@
-"""Seeded random generators shared across the test modules: logical
-forms for round-trip checks (syntax-only) and store-grounded forms for
+"""Seeded random generators shared across the test modules: small
+random stores, pseudo-random token scorer rows, logical forms for
+round-trip checks (syntax-only) and store-grounded forms for
 differential execution checks.
 
 Generated atoms respect the positional category convention (classes in
@@ -9,11 +10,69 @@ representable in text and survives print -> parse -> print.
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
+
+from kbqa.fixtures import _WORDS
+from kbqa.scorers import _stable_seed
 from kbqa.sexpr import (And, ArgMax, ArgMin, ClassRef, Compare, Count,
                         EntityRef, Join, LiteralRef, Reverse)
-from kbqa.store import LiteralValue, TripleStore
+from kbqa.store import LiteralValue, StoreBuilder, TripleStore
+
+def random_store(rng: random.Random, max_entities: int = 30) -> TripleStore:
+    """Small random store: a few classes, relations with entity and
+    float-literal ranges, alias rows for a sample of entities."""
+    builder = StoreBuilder()
+    n_entities = rng.randint(4, max_entities)
+    entities = [f"e{i}" for i in range(n_entities)]
+    n_classes = rng.randint(1, 4)
+    classes = []
+    for i in range(n_classes):
+        word = rng.choice(_WORDS)
+        classes.append(f"ns{i}.{word}_kind")
+    relations = []
+    for i in range(rng.randint(2, 6)):
+        left = rng.choice(_WORDS)
+        right = rng.choice(_WORDS)
+        relations.append(f"ns{i % n_classes}.{left}_kind.{right}_of")
+    numeric_rel = f"ns0.{rng.choice(_WORDS)}_kind.amount_value"
+
+    for entity in entities:
+        if rng.random() < 0.8:
+            builder.add_triple(entity, "type_rel", rng.choice(classes))
+    n_edges = rng.randint(n_entities, n_entities * 3)
+    for _ in range(n_edges):
+        builder.add_triple(rng.choice(entities), rng.choice(relations),
+                           rng.choice(entities))
+    for entity in rng.sample(entities, k=max(1, n_entities // 3)):
+        value = round(rng.uniform(0.0, 500.0), 1)
+        builder.add_triple(entity, numeric_rel,
+                           LiteralValue("float", value, "float"))
+    for entity in rng.sample(entities, k=max(1, n_entities // 4)):
+        alias = f"{rng.choice(_WORDS)} {entity}"
+        builder.set_entity_label(entity, alias)
+        builder.add_alias(alias, entity, round(rng.random(), 2))
+    return builder.freeze()
+
+
+class RandomTokenScorer:
+    """Deterministic pseudo-random rows keyed by (seed, prefix); used to
+    stress the constrained-validity guarantee."""
+
+    reentrant = True
+
+    def __init__(self, vocab_size: int, seed: int = 0):
+        self.vocab_size = vocab_size
+        self.seed = seed
+
+    def next_log_probs(self, context, prefix) -> np.ndarray:
+        rng = np.random.default_rng(_stable_seed(self.seed, *prefix))
+        logits = rng.normal(size=self.vocab_size)
+        logits -= logits.max()
+        return logits - math.log(np.exp(logits).sum())
+
 
 _NAME_WORDS = ("alpha", "beta", "core", "delta", "unit", "shade", "flux",
                "system", "value", "orbit")

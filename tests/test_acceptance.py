@@ -14,21 +14,22 @@ import time
 from dataclasses import dataclass, replace
 
 from kbqa.beam import beam_search
-from kbqa.enumerator import EnumConfig, StartPoint, completeness_oracle, enumerate_elfs
+from kbqa.enumerator import EnumConfig, StartPoint, enumerate_elfs
 from kbqa.executor import compile_sparql, evaluate, evaluate_sparql_subset, is_valid_prediction
-from kbqa.fixtures import (CaseFixture, all_cases, random_store, synthetic_store,
-                           toy_store)
+from kbqa.fixtures import synthetic_store, toy_store
 from kbqa.grammar import DecodeContext, render_tokens
 from kbqa.metrics import answer_f1, evaluate_dataset, exact_match, hits_at_1
 from kbqa.pipeline import Pipeline, PipelineConfig, QAExample
 from kbqa.retrieve import ranker_loss
-from kbqa.scorers import OracleScorer, RandomTokenScorer, ngram_scorer_from_forms
+from kbqa.scorers import OracleScorer, ngram_scorer_from_forms
 from kbqa.sexpr import canonicalize, parse, print_canonical, validate_schema
 from kbqa.store import LiteralValue
 from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
 
-from randgen import StorePools, random_exec_ast, random_syntax_ast
+from randgen import (RandomTokenScorer, StorePools, random_exec_ast, random_store,
+                     random_syntax_ast)
+from references import CaseFixture, all_cases, completeness_oracle
 
 
 def criterion(number, description):

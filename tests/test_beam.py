@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from kbqa.beam import Hypothesis, beam_search, sequence_nll
-from kbqa.fixtures import random_store, toy_store
+from kbqa.fixtures import toy_store
 from kbqa.grammar import DecodeContext, advance, allowed_next, initial_state, render_tokens
-from kbqa.scorers import (NgramScorer, OracleScorer, RandomTokenScorer,
-                          SparseRow, UniformScorer, ngram_scorer_from_forms)
+from kbqa.scorers import (NgramScorer, OracleScorer, SparseRow, UniformScorer,
+                          ngram_scorer_from_forms)
 from kbqa.sexpr import parse, print_canonical, validate_schema
 from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
+
+from randgen import RandomTokenScorer, random_store
 
 
 def make_ctx(store=None, linked=("e1", "ox1", "eng1"), extra=()):

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from kbqa.cli import main
-from kbqa.fixtures import toy_aliases_tsv, toy_triples_tsv
+
+from references import toy_aliases_tsv, toy_triples_tsv
 
 
 @pytest.fixture()

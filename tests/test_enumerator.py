@@ -3,12 +3,13 @@ import time
 
 import pytest
 
-from kbqa.enumerator import (EnumConfig, StartPoint, completeness_oracle,
-                             enumerate_elfs)
+from kbqa.enumerator import EnumConfig, StartPoint, enumerate_elfs
 from kbqa.executor import evaluate
-from kbqa.fixtures import random_store
 from kbqa.sexpr import parse, print_canonical, relation_count, validate_schema
 from kbqa.store import LiteralValue, StoreBuilder
+
+from randgen import random_store
+from references import completeness_oracle
 
 
 def prints(forms):
@@ -65,12 +66,6 @@ def test_hop_limit_monotone(toy):
     one = prints(enumerate_elfs(toy_starts(), toy, EnumConfig(hop_limit=1)))
     two = prints(enumerate_elfs(toy_starts(), toy, EnumConfig(hop_limit=2)))
     assert one <= two
-
-
-def test_class_constraint_flag(toy):
-    without = prints(enumerate_elfs(
-        toy_starts(), toy, EnumConfig(include_class_constraint=False)))
-    assert not any(p.startswith("(AND") for p in without)
 
 
 def test_truncation_deterministic(toy):

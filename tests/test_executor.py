@@ -4,11 +4,11 @@ import pytest
 
 from kbqa.errors import EvalTypeError
 from kbqa.executor import AnswerSet, evaluate, is_valid_prediction
-from kbqa.fixtures import TOY_TRIPLES, random_store, toy_store
+from kbqa.fixtures import TOY_TRIPLES, toy_store
 from kbqa.sexpr import And, ClassRef, Count, parse
 from kbqa.store import LiteralValue, StoreBuilder, parse_literal
 
-from randgen import StorePools, random_exec_ast
+from randgen import StorePools, random_exec_ast, random_store
 
 
 def brute_force_entities(store, predicate):

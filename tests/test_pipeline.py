@@ -3,13 +3,15 @@ import json
 import pytest
 
 from kbqa.enumerator import EnumConfig
-from kbqa.fixtures import case_disconnected_relation, toy_store
+from kbqa.fixtures import toy_store
 from kbqa.pipeline import (Pipeline, PipelineConfig, Prediction, QAExample,
                            assemble_context, load_dataset, start_points)
 from kbqa.retrieve import LexicalScorer, LinkedEntity, Mention, Question, rank_elfs
 from kbqa.scorers import OracleScorer, UniformScorer
 from kbqa.sexpr import canonicalize, parse, print_canonical
 from kbqa.vocab import SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, build_vocabulary
+
+from references import case_disconnected_relation
 
 
 def oracle_factory(text, eps=0.0, fallbacks=()):

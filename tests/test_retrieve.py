@@ -13,8 +13,8 @@ from kbqa.errors import NoCandidateError, ScorerProtocolError
 from kbqa.retrieve import (ConstantScorer, ExternalTextScorer, LexicalScorer,
                            Mention, Question, TableScorer, detect_mentions,
                            disambiguate, entity_context_text,
-                           generate_candidates, lexical_score, link_question,
-                           rank_elfs, ranker_loss, retrieve_schema)
+                           generate_candidates, link_question, rank_elfs,
+                           ranker_loss, retrieve_schema)
 from kbqa.sexpr import parse, print_canonical
 from kbqa.store import StoreBuilder, text_words
 
@@ -235,6 +235,7 @@ def test_ranker_loss_overflow_safe():
 
 
 def test_lexical_score_basics():
+    lexical_score = LexicalScorer().score  # corpus-free: all IDF weights 1
     q = Question.of("measurement unit")
     same = lexical_score(q, "measurement unit")
     assert same == pytest.approx(1.1)  # full overlap + full trigram match

@@ -7,9 +7,11 @@ import pytest
 from kbqa.errors import ScorerProtocolError
 from kbqa.fixtures import toy_store
 from kbqa.scorers import (ExternalTokenScorer, NgramScorer, OracleScorer,
-                          RandomTokenScorer, SparseRow, UniformScorer,
-                          _stable_seed, ngram_scorer_from_forms)
+                          SparseRow, UniformScorer, _stable_seed,
+                          ngram_scorer_from_forms)
 from kbqa.vocab import build_vocabulary, encode_logical_form
+
+from randgen import RandomTokenScorer
 
 
 @pytest.fixture(scope="module")

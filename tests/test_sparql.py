@@ -5,10 +5,9 @@ import pytest
 from kbqa.enumerator import EnumConfig, StartPoint, enumerate_elfs
 from kbqa.errors import SparqlUnsupportedError, UnsupportedFormError
 from kbqa.executor import (compile_sparql, evaluate, evaluate_sparql_subset)
-from kbqa.fixtures import random_store
 from kbqa.sexpr import ArgMin, ClassRef, Count, parse
 
-from randgen import StorePools, random_exec_ast
+from randgen import StorePools, random_exec_ast, random_store
 
 
 def differential(lf, store):

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from kbqa.errors import TripleParseError
-from kbqa.fixtures import (TOY_TRIPLES, random_store, toy_aliases_tsv, toy_store,
-                           toy_triples_tsv)
+from kbqa.fixtures import TOY_TRIPLES, toy_store
 from kbqa.store import LiteralValue, StoreBuilder, parse_literal, reduce_iri
+
+from randgen import random_store
+from references import toy_aliases_tsv, toy_triples_tsv
 
 
 def fixture_scan(pred):
@@ -257,5 +259,5 @@ def test_literal_identity_promotes_numeric_kinds():
 
 def test_entity_label_and_meta(toy):
     assert toy.entity_label("e1") == "decimetre"
-    assert toy.entity_meta("ox1").popularity == 0.7
+    assert toy.alias_lookup("lox") == [("ox1", 0.7)]
     assert toy.entity_label("nonexistent") == "nonexistent"

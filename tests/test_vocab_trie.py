@@ -4,9 +4,19 @@ import pytest
 
 from kbqa.errors import TokenizeError
 from kbqa.store import LiteralValue, SchemaItem, StoreBuilder
-from kbqa.trie import build_trie, dump_trie, items_of, load_trie
-from kbqa.vocab import (Vocabulary, build_vocabulary, encode_logical_form,
+from kbqa.trie import build_trie
+from kbqa.vocab import (UNK, Vocabulary, build_vocabulary, encode_logical_form,
                         encode_text, tokenize_literal, tokenize_name)
+
+
+def items_of(trie, vocab):
+    """Every terminal path spelled out: the items the trie was built on."""
+    return sorted("".join(vocab.tokens(path)) for path in trie.terminal_paths())
+
+
+def contains(trie, token_ids):
+    node = trie.walk(token_ids)
+    return node is not None and node.terminal
 
 
 def test_tokenize_name_keeps_separators():
@@ -46,7 +56,7 @@ def test_vocabulary_freeze_and_unk(toy):
     vocab = build_vocabulary(toy)
     with pytest.raises(TokenizeError):
         vocab.id("neverseen")
-    assert vocab.id_or_unk("neverseen") == vocab.unk_id
+    assert vocab.id_or_unk("neverseen") == vocab.id(UNK)
     with pytest.raises(TokenizeError):
         vocab.add("neverseen")
 
@@ -89,9 +99,8 @@ def test_trie_exactness_on_catalog(toy):
     assert items_of(trie, vocab) == toy.classes()
     rel_trie = build_trie(toy.relations(), vocab)
     assert items_of(rel_trie, vocab) == toy.relations()
-    assert rel_trie.contains(
-        [vocab.id(t) for t in tokenize_name("ms.length_units")])
-    assert not rel_trie.contains([vocab.id(t) for t in tokenize_name("ms.length")])
+    assert contains(rel_trie, [vocab.id(t) for t in tokenize_name("ms.length_units")])
+    assert not contains(rel_trie, [vocab.id(t) for t in tokenize_name("ms.length")])
 
 
 def test_trie_exactness_random_item_sets():
@@ -117,7 +126,7 @@ def test_trie_exactness_random_item_sets():
 def test_empty_trie():
     vocab = Vocabulary().freeze()
     trie = build_trie([], vocab)
-    assert len(trie) == 0
+    assert not trie.root.terminal
     assert not trie.root.children
     assert items_of(trie, vocab) == []
 
@@ -127,14 +136,6 @@ def test_trie_insertion_order_irrelevant(toy):
     forward = build_trie(toy.relations(), vocab)
     backward = build_trie(list(reversed(toy.relations())), vocab)
     assert items_of(forward, vocab) == items_of(backward, vocab)
-
-
-def test_trie_dump_load_round_trip(toy):
-    vocab = build_vocabulary(toy)
-    trie = build_trie(toy.relations(), vocab)
-    text = dump_trie(trie, vocab)
-    reloaded = load_trie(text, vocab)
-    assert items_of(reloaded, vocab) == items_of(trie, vocab)
 
 
 def test_build_trie_names_unknown_item():
