@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import ExitStack, closing
 from pathlib import Path
@@ -38,6 +39,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ranged(kind: type, low: float, high: float = math.inf, above: bool = False):
+    """An argparse type for a `kind` number x with low <= x < high, or
+    low < x < high when `above`; a value out of range is a usage error
+    that names the flag."""
+    bound = f"in [{low}, {high})" if high < math.inf else f"{'>' if above else '>='} {low}"
+
+    def parse(text: str):
+        value = kind(text)
+        if not (low < value if above else low <= value) or not value < high:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kb", help="triples file (.tsv/.nt) or ingested store directory")
     parser.add_argument("--aliases", help="alias TSV file")
@@ -46,14 +63,14 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="triple file format (default: by extension)")
     parser.add_argument("--type-relation", default="type_rel")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--beam-size", type=int, default=10)
-    parser.add_argument("--max-output-tokens", type=int, default=128)
-    parser.add_argument("--input-budget", type=int, default=1000)
-    parser.add_argument("--top-schema", type=int, default=10)
-    parser.add_argument("--top-elf", type=int, default=5)
+    parser.add_argument("--beam-size", type=_ranged(int, 1), default=10)
+    parser.add_argument("--max-output-tokens", type=_ranged(int, 1), default=128)
+    parser.add_argument("--input-budget", type=_ranged(int, 0), default=1000)
+    parser.add_argument("--top-schema", type=_ranged(int, 0), default=10)
+    parser.add_argument("--top-elf", type=_ranged(int, 0), default=5)
     parser.add_argument("--hop-limit", type=int, default=2, choices=[1, 2])
-    parser.add_argument("--max-candidates", type=int, default=2000)
-    parser.add_argument("--max-mention-len", type=int, default=15)
+    parser.add_argument("--max-candidates", type=_ranged(int, 0), default=2000)
+    parser.add_argument("--max-mention-len", type=_ranged(int, 1), default=15)
     constrained = parser.add_mutually_exclusive_group()
     constrained.add_argument("--constrained", dest="constrained",
                              action="store_true", default=True)
@@ -64,9 +81,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                              "oracle:<path>|extern:<cmd>")
     parser.add_argument("--retrieval-scorer", default="lexical",
                         help="retrieval scorer: lexical|uniform|oracle:<path>|extern:<cmd>")
-    parser.add_argument("--oracle-eps", type=float, default=0.1)
-    parser.add_argument("--ngram-order", type=int, default=3)
-    parser.add_argument("--scorer-timeout", type=float, default=10.0)
+    parser.add_argument("--oracle-eps", type=_ranged(float, 0.0, 1.0), default=0.1)
+    parser.add_argument("--ngram-order", type=_ranged(int, 1), default=3)
+    parser.add_argument("--scorer-timeout", type=_ranged(float, 0.0, above=True),
+                        default=10.0)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--dump-context", action="store_true")
     parser.add_argument("--out", help="output path (default: stdout)")
@@ -120,8 +138,14 @@ def _dump_meta(store: TripleStore):
 
 
 def _load_meta(builder: StoreBuilder, lines, source: str) -> None:
-    for meta in load_records(lines, source, dict, "store meta"):
-        builder.type_relation = meta.get("type_relation", builder.type_relation)
+    def type_relation(meta: dict) -> str:
+        value = meta.get("type_relation", builder.type_relation)
+        if not isinstance(value, str) or not value:
+            raise ValueError(f"type_relation must be a non-empty string, got {value!r}")
+        return value
+
+    for value in load_records(lines, source, type_relation, "store meta"):
+        builder.type_relation = value
 
 
 # The files of a store directory in load order: each with the store's

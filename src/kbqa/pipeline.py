@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from . import vocab as vocab_mod
 from .beam import Hypothesis, TokenScorer, beam_search
 from .enumerator import EnumConfig, StartPoint, enumerate_elfs
-from .errors import DataError, KbqaError
+from .errors import DataError, KbqaError, TokenizeError
 from .executor import evaluate, is_valid_prediction
 from .grammar import DecodeContext, render_tokens
 from .retrieve import (LinkedEntity, Question, ScoredCandidate, Scorer,
@@ -133,13 +133,13 @@ def assemble_context(vocab: Vocabulary, question: Question,
     def elf_chunk(text: str) -> list[int]:
         try:
             return encode_logical_form(vocab, text)
-        except Exception:
+        except TokenizeError:
             return encode_text(vocab, text)
 
     def schema_chunk(name: str) -> list[int]:
         try:
             return [vocab.id(tok) for tok in tokenize_name(name)]
-        except Exception:
+        except TokenizeError:
             return encode_text(vocab, name)
 
     # section index, payload item, token chunk

@@ -21,6 +21,7 @@ from kbqa.sexpr import (And, ArgMax, ArgMin, ClassRef, Compare, Count,
                         EntityRef, Join, LiteralRef, Reverse)
 from kbqa.store import LiteralValue, StoreBuilder, TripleStore
 
+
 def random_store(rng: random.Random, max_entities: int = 30) -> TripleStore:
     """Small random store: a few classes, relations with entity and
     float-literal ranges, alias rows for a sample of entities."""

@@ -29,7 +29,7 @@ from kbqa.vocab import build_vocabulary, encode_logical_form
 
 from randgen import (RandomTokenScorer, StorePools, random_exec_ast, random_store,
                      random_syntax_ast)
-from references import CaseFixture, all_cases, completeness_oracle
+from references import all_cases, completeness_oracle
 
 
 def criterion(number, description):

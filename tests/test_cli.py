@@ -179,6 +179,32 @@ def test_exit_codes(kb_files, tmp_path, capsys):
         assert str(table) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, bad, edge", [
+    ("--beam-size", "0", "1"),
+    ("--max-candidates", "-1", "0"),
+    ("--ngram-order", "0", "1"),
+    ("--oracle-eps", "1.5", "0"),
+    ("--top-elf", "-1", "0"),
+    ("--top-schema", "-1", "0"),
+    ("--max-mention-len", "0", "1"),
+    ("--max-output-tokens", "0", "1"),
+    ("--input-budget", "-1", "0"),
+    ("--scorer-timeout", "0", "0.5"),
+])
+def test_out_of_range_flag_is_a_usage_error(flag, bad, edge, dataset, tmp_path, capsys):
+    """A numeric flag outside its range exits 1 naming the flag, for the
+    scorer that would read it; the value at the edge of the range runs."""
+    forms = tmp_path / "forms.txt"
+    forms.write_text("(COUNT sf.engine)\n", encoding="utf-8")
+    scorer = {"--ngram-order": f"ngram:{forms}",
+              "--oracle-eps": f"oracle:{forms}"}.get(flag, "uniform")
+    argv = ["predict", "--kb", "toy:", "--scorer", scorer, dataset]
+    assert run([*argv, flag, bad]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: argument {flag}: must be " in err and "Traceback" not in err
+    assert run([*argv, flag, edge]) == 0
+
+
 def test_decode_records_stage_errors(kb_files, dataset, capsys, popen_children):
     # a generation scorer whose process exits at once fails every decode
     dead = f"extern:{sys.executable} -c pass"
@@ -253,6 +279,19 @@ def test_malformed_labels_file_is_a_data_error(kb_files, dataset, tmp_path, caps
     for argv, message in cases:
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+def test_bad_meta_type_relation_is_a_data_error(tmp_path, capsys):
+    """A store directory whose meta.json names no usable type relation
+    is a data error, not a store without classes."""
+    out_dir = tmp_path / "store"
+    assert run(["ingest", "--kb", "toy:", str(out_dir)]) == 0
+    for value in (5, "", None, ["type_rel"]):
+        (out_dir / "meta.json").write_text(json.dumps({"type_relation": value}) + "\n",
+                                           encoding="utf-8")
+        assert run(["execute", "--kb", str(out_dir), "(COUNT sf.engine)"]) == 2, value
+        assert "meta.json:1: bad store meta record: type_relation must be a non-empty " \
+            "string" in capsys.readouterr().err, value
 
 
 def test_out_of_vocabulary_form_names_file_and_line(tmp_path, capsys):

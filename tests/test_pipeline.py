@@ -2,14 +2,18 @@ import json
 
 import pytest
 
+from kbqa import pipeline as pipeline_mod
 from kbqa.enumerator import EnumConfig
+from kbqa.errors import TokenizeError
 from kbqa.fixtures import toy_store
 from kbqa.pipeline import (Pipeline, PipelineConfig, Prediction, QAExample,
                            assemble_context, load_dataset, start_points)
 from kbqa.retrieve import LexicalScorer, LinkedEntity, Mention, Question, rank_elfs
 from kbqa.scorers import OracleScorer, UniformScorer
 from kbqa.sexpr import canonicalize, parse, print_canonical
-from kbqa.vocab import SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, build_vocabulary
+from kbqa.store import LiteralValue, StoreBuilder
+from kbqa.vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, build_vocabulary,
+                        encode_logical_form)
 
 from references import case_disconnected_relation
 
@@ -170,6 +174,41 @@ def test_context_token_budget_respected(toy):
     for budget in (20, 40, 80, 1000):
         ctx = assemble_context(vocab, question, [], elfs, schema, budget, store=toy)
         assert len(ctx.token_ids) <= budget
+
+
+def test_undecodable_elf_is_text_encoded_and_still_answers():
+    """A 20-digit number anchors ELFs on a literal that has no decodable
+    token form; assembly encodes such an ELF as text, and the ELF
+    fallback still answers with it."""
+    builder = StoreBuilder()
+    builder.add_triple("x1", "k.size", LiteralValue("float", 12345678901234567890.0))
+    store = builder.freeze()
+    pipe = Pipeline(store, PipelineConfig(dump_context=True))
+    question = "what has size 12345678901234567890"
+    prepared = pipe.prepare(question)
+    form = "(JOIN k.size 1.2345678901234567e+19)"
+    assert form in [cand.text() for cand in prepared.ranked_elfs]
+    with pytest.raises(TokenizeError):
+        encode_logical_form(pipe.vocab, form)
+    prediction = pipe.predict(question)
+    assert form in prediction.context["elfs"]
+    assert (prediction.provenance, prediction.logical_form, prediction.answers) == \
+        ("elf-fallback", form, ("x1",))
+
+
+def test_assemble_context_lets_unexpected_errors_escape(toy, monkeypatch):
+    """Only a TokenizeError falls back to text encoding; any other error
+    from encoding an ELF is a fault and is not swallowed."""
+    vocab = build_vocabulary(toy)
+    question = Question.of(QUESTION_ONE)
+    elfs = rank_elfs(question, [parse(GOLD_CASE_ONE)], LexicalScorer(), 5)
+
+    def broken(vocab, form):
+        raise RuntimeError("encoder bug")
+
+    monkeypatch.setattr(pipeline_mod, "encode_logical_form", broken)
+    with pytest.raises(RuntimeError, match="encoder bug"):
+        assemble_context(vocab, question, [], elfs, ([], []), 1000, store=toy)
 
 
 def test_load_dataset_and_prediction_json_round_trip(tmp_path):
