@@ -5,8 +5,8 @@ diagnostic.
 Scorers return one log-probability per vocabulary id, log-normalized,
 conditioned on (context, generated prefix); the begin token is implicit
 and never part of a prefix. A row is an array, or a `SparseRow` whose
-entries the constrained beam gathers with `take(ids)`, so that a wide
-vocabulary costs nothing beyond the allowed ids. In constrained mode,
+entries the constrained beam gathers with `values_at(ids)`, so that a
+wide vocabulary costs nothing beyond the allowed ids. In constrained mode,
 log-probs outside the grammar's allowed set are treated as -inf before
 expansion, so every finished hypothesis spells a parseable,
 catalog-valid logical form. In unconstrained mode any token may follow
@@ -17,6 +17,7 @@ grammatical or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
@@ -57,13 +58,12 @@ class Hypothesis:
         return (-_quantize(self.log_prob), self.tokens)
 
 
-def _allowed_ids(state: GrammarState, ctx: DecodeContext) -> np.ndarray:
-    """allowed_next as a sorted index array, memoised under its key."""
+def _allowed_ids(state: GrammarState, ctx: DecodeContext) -> tuple[int, ...]:
+    """allowed_next as a sorted tuple, memoised under its key."""
     key = mask_key(state)
     ids = ctx.mask_ids.get(key)
     if ids is None:
-        ids = np.array(sorted(allowed_next(state, ctx)), dtype=np.intp)
-        ctx.mask_ids[key] = ids
+        ids = ctx.mask_ids[key] = tuple(sorted(allowed_next(state, ctx)))
     return ids
 
 
@@ -84,56 +84,56 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     end_id = ctx.end_id
-    live: list[Hypothesis] = [Hypothesis((), 0.0, initial_state())]
+    # The live beam as (tokens, log_prob, state), kept in token order.
+    live = [((), 0.0, initial_state())]
     finished: list[Hypothesis] = []
 
     for _ in range(max_len):
-        # Each live hypothesis's children: token ids and path scores.
-        ids_of, scores_of = [], []
-        for hyp in live:
-            row = scorer.next_log_probs(context, hyp.tokens)
+        # Every child of the live beam, in (parent, token) order.
+        parents, tokens, scores = [], [], []
+        for i, (prefix, log_prob, state) in enumerate(live):
+            row = scorer.next_log_probs(context, prefix)
             if constrained:
-                if not isinstance(row, SparseRow):
-                    row = np.asarray(row, dtype=float)
-                ids = _allowed_ids(hyp.state, ctx)
-                vals = row.take(ids)
-                finite = np.isfinite(vals)
-                ids, vals = ids[finite], vals[finite]
+                ids = _allowed_ids(state, ctx)
+                values = (row.values_at(ids) if isinstance(row, SparseRow)
+                          else np.asarray(row, dtype=float).take(ids).tolist())
             else:
                 # Per-hypothesis top beam_size suffices for the global top-k.
                 row = np.asarray(row, dtype=float)
-                ids = _top_ids(row, beam_size)
-                vals = row[ids]
-            ids_of.append(ids)
-            scores_of.append(hyp.log_prob + vals)
-        n_children = sum(len(ids) for ids in ids_of)
-        if not n_children:
+                ids = sorted(_top_ids(row, beam_size).tolist())
+                values = row.take(ids).tolist()
+            for token, value in zip(ids, values):
+                if isfinite(value):
+                    parents.append(i)
+                    tokens.append(token)
+                    scores.append(log_prob + value)
+        if not scores:
             break
-        child_ids = np.concatenate(ids_of)
-        scores = np.concatenate(scores_of)
-        parents = np.repeat(np.arange(len(live)), [len(ids) for ids in ids_of])
         # Live hypotheses are distinct, equally long and kept in token
-        # order, so ordering children by token sequence is ordering them
-        # by (parent, token).
-        order = np.lexsort((child_ids, parents, -_quantize(scores)))[:beam_size]
-        next_live: list[Hypothesis] = []
-        for j in order.tolist():
-            hyp, token, log_prob = live[parents[j]], int(child_ids[j]), scores[j]
-            if constrained or hyp.state is not None:
-                state = advance(hyp.state, token, ctx)
+        # order, so (parent, token) order is token-sequence order, and a
+        # stable sort on the quantised score breaks ties by it.
+        order = np.argsort(-_quantize(np.array(scores)), kind="stable")[:beam_size]
+        # Kept in (parent, token) order, the next beam is in token order.
+        next_live = []
+        for j in sorted(order.tolist()):
+            prefix, _, state = live[parents[j]]
+            token = tokens[j]
+            if constrained or state is not None:
+                state = advance(state, token, ctx)
+            path = (prefix + (token,), scores[j], state)
+            if token == end_id and (not constrained or state is not None):
+                finished.append(Hypothesis(*path, True))
             else:
-                state = None
-            done = token == end_id and (not constrained or state is not None)
-            (finished if done else next_live).append(
-                Hypothesis(hyp.tokens + (token,), log_prob, state, done))
-        live = sorted(next_live, key=lambda h: h.tokens)
+                next_live.append(path)
+        live = next_live
         if not live:
             break
         if len(finished) >= beam_size:
-            # Scores never increase along a path, so once no live
-            # hypothesis can beat the k-th best finished one, stop.
-            kth_best = sorted(h.log_prob for h in finished)[-beam_size]
-            if max(h.log_prob for h in live) <= kth_best:
+            # Along a path the score never rises and the tokens only
+            # sort later, so once every live hypothesis sorts after the
+            # k-th best finished one, none of its children can enter.
+            kth = sorted(finished, key=Hypothesis.sort_key)[beam_size - 1]
+            if min((-_quantize(lp), prefix) for prefix, lp, _ in live) > kth.sort_key():
                 break
 
     finished.sort(key=Hypothesis.sort_key)

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .trie import SchemaTrie, TrieNode
 from .vocab import DIGITS, TYPE_TAGS, Vocabulary
 
@@ -126,7 +124,7 @@ _MISS = object()
 class DecodeContext:
     """Vocabulary-resolved token sets, the two schema tries, the
     linked-entity constraint, the move table resolved against them, and
-    the allowed_next memo with its index-array twin for the beam."""
+    the allowed_next memo with its sorted-tuple twin for the beam."""
 
     def __init__(self, vocab: Vocabulary, class_trie: SchemaTrie,
                  rel_trie: SchemaTrie,
@@ -171,8 +169,8 @@ class DecodeContext:
             slot: frozenset().union(*(tokens for tokens, _ in moves if tokens is not None))
             for slot, moves in self.moves.items()}
         self.masks: dict[tuple, frozenset[int]] = {}
-        # the same sets as sorted np.intp arrays, under the same keys
-        self.mask_ids: dict[tuple, np.ndarray] = {}
+        # the same sets as sorted tuples of ints, under the same keys
+        self.mask_ids: dict[tuple, tuple[int, ...]] = {}
 
 
 def _may_end(state: GrammarState) -> bool:

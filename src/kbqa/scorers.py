@@ -33,7 +33,8 @@ def _stable_seed(*parts) -> int:
 class SparseRow:
     """An immutable row of `size` log-probs, equal to `fill` everywhere
     except at the ids in `values`. `np.asarray(row)` builds the dense
-    row, fresh on each call; `take(ids)` reads entries without it."""
+    row, fresh on each call; `values_at(ids)` and `take(ids)` read
+    entries without it."""
 
     __slots__ = ("size", "fill", "_values")
 
@@ -42,7 +43,8 @@ class SparseRow:
             raise IndexError(f"row ids must lie in [0, {size})")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "fill", float(fill))
-        object.__setattr__(self, "_values", dict(values))
+        object.__setattr__(self, "_values",
+                           {token: float(v) for token, v in values.items()})
 
     def __setattr__(self, *_):
         raise AttributeError("SparseRow is immutable")
@@ -57,16 +59,22 @@ class SparseRow:
             row[list(self._values)] = list(self._values.values())
         return row if dtype is None else row.astype(dtype, copy=False)
 
-    def take(self, ids: np.ndarray) -> np.ndarray:
-        """The entries at an integer array of ids, each in [0, size), as
-        a new float array; O(len(ids))."""
+    def values_at(self, ids: Union[np.ndarray, Sequence[int]]) -> list[float]:
+        """The entries at ids, each in [0, size), given as an integer
+        array, list or tuple, as a list of floats; O(len(ids))."""
+        if isinstance(ids, np.ndarray):
+            ids = ids.tolist()
         if not self._values:
-            return np.full(len(ids), self.fill)
+            return [self.fill] * len(ids)
         get, fill = self._values.get, self.fill
-        return np.array([get(i, fill) for i in ids.tolist()], dtype=float)
+        return [get(i, fill) for i in ids]
+
+    def take(self, ids: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
+        """`values_at(ids)` as a new float array."""
+        return np.array(self.values_at(ids), dtype=float)
 
     def __getitem__(self, token: int) -> float:
-        """The entry at one id in [0, size); `take` gathers an id array."""
+        """The entry at one id in [0, size); `take` gathers many ids."""
         token = operator.index(token)
         if not 0 <= token < self.size:
             raise IndexError(f"row ids must lie in [0, {self.size})")

@@ -14,6 +14,7 @@ numeric kind and the optional type tag are kept only for printing.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 from dataclasses import dataclass
@@ -354,6 +355,17 @@ class TripleStore:
     """Frozen, fully indexed store. All methods are read-only."""
 
     def __init__(self, builder: StoreBuilder):
+        # The build makes millions of containers and frees none, so a
+        # cyclic-GC pass during it is pure cost.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._build(builder)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _build(self, builder: StoreBuilder) -> None:
         self.type_relation = builder.type_relation
         self._triples: tuple[Triple, ...] = tuple(builder._triples)
         self._catalog: dict[str, SchemaItem] = dict(builder._catalog)

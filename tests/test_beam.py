@@ -175,6 +175,27 @@ def test_cross_parent_tie_breaks_by_token_sequence():
     assert [h.tokens for h in hyps] == [(40, end), (30, 52, end)]
 
 
+def test_early_stop_keeps_a_live_hypothesis_that_ties():
+    """(e,) and (20, 30, e) finish at -1.0 while (20, 25, 26) is still
+    live at -1.0. Its child (20, 25, 26, e) ties with them and sorts
+    before (20, 30, e), so the search must not stop on the tie."""
+    ctx, _ = make_ctx()
+    e = ctx.end_id
+    assert e not in (20, 25, 26, 30) and ctx.vocab.size > 30
+    script = {(): {e: -1.0, 20: -1.0},
+              (20,): {25: 0.0, 30: 0.0},
+              (20, 25): {26: 0.0},
+              (20, 30): {e: 0.0},
+              (20, 25, 26): {e: 0.0}}
+    scorer = ScriptedScorer(ctx.vocab.size, script)
+    wide = beam_search(scorer, (), ctx, constrained=False, beam_size=3)
+    assert [h.tokens for h in wide] == [(e,), (20, 25, 26, e), (20, 30, e)]
+    hyps = beam_search(scorer, (), ctx, constrained=False, beam_size=2)
+    assert [h.tokens for h in hyps] == [(e,), (20, 25, 26, e)]
+    assert hyps == reference_beam_search(scorer, (), ctx, constrained=False,
+                                         beam_size=2)
+
+
 def test_dead_end_gives_empty_result():
     ctx, _ = make_ctx(extra=("bogus",))
     target = encode_target(ctx, "(ARGMIN sf.bogus sf.chamber_pressure)")
@@ -253,6 +274,9 @@ def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
     def quantize(score):
         return round(score, 9)
 
+    def sort_key(hyp):
+        return (-quantize(hyp.log_prob), hyp.tokens)
+
     end_id = ctx.end_id
     live = [Hypothesis((), 0.0, initial_state())]
     finished = []
@@ -298,10 +322,10 @@ def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
         if not live:
             break
         if len(finished) >= beam_size:
-            kth_best = sorted(h.log_prob for h in finished)[-beam_size]
-            if max(h.log_prob for h in live) <= kth_best:
+            kth = sorted(finished, key=sort_key)[beam_size - 1]
+            if min(sort_key(h) for h in live) > sort_key(kth):
                 break
-    finished.sort(key=lambda h: (-quantize(h.log_prob), h.tokens))
+    finished.sort(key=sort_key)
     return finished[:beam_size]
 
 
@@ -332,6 +356,70 @@ def test_array_step_matches_reference_loop():
                     assert [h.log_prob.hex() for h in got] == \
                         [h.log_prob.hex() for h in want]
                     compared += len(got)
+    assert compared > 100
+
+
+class TiedScorer:
+    """Rows drawn from a few exact values, so that children tie within a
+    parent's top beam_size and across parents, with -inf at some ids: a
+    dense array ("dense"), a SparseRow with a -inf fill ("fill"), or a
+    SparseRow with -inf overrides ("overrides")."""
+    reentrant = True
+
+    def __init__(self, size, seed, kind):
+        self.size, self.seed, self.kind = size, seed, kind
+
+    def next_log_probs(self, context, prefix):
+        rng = random.Random(f"{self.seed}:{tuple(prefix)}")
+        ids, values = range(self.size), (-0.5, -1.0, -1.5, -2.0)
+        if self.kind == "dense":
+            return np.array([rng.choice(values + (-math.inf,)) for _ in ids])
+        if self.kind == "fill":
+            picked = rng.sample(ids, self.size * 2 // 3)
+            return SparseRow(self.size, -math.inf, {i: rng.choice(values) for i in picked})
+        picked = rng.sample(ids, self.size // 4)
+        return SparseRow(self.size, -1.0,
+                         {i: rng.choice((-0.5, -1.5, -math.inf)) for i in picked})
+
+
+def test_flat_step_matches_reference_on_ties_and_infinities():
+    """Same hypotheses, log_prob bits included, as the per-candidate loop
+    on rows whose entries tie exactly and hold -inf at allowed ids,
+    dense and sparse; every log_prob is a Python float. A SparseRow reads
+    the same entries through take, of a list, tuple or array, and
+    values_at."""
+    assert [type(v) for v in SparseRow(4, -1, {2: 0}).values_at((1, 2))] == [float, float]
+    rng = random.Random(20261019)
+    stores = [toy_store()] + [random_store(rng, max_entities=20) for _ in range(2)]
+    compared = 0
+    for n, store in enumerate(stores):
+        entities = sorted(store.all_entities())
+        ctx, _ = make_ctx(store, linked=entities[:2])
+        size = ctx.vocab.size
+        for kind in ("dense", "fill", "overrides"):
+            for seed in range(2):
+                scorer = TiedScorer(size, 10 * n + seed, kind)
+                for prefix in ((), (1,), (2, 3)):
+                    row = scorer.next_log_probs((), prefix)
+                    ids = sorted(rng.sample(range(size), 12))
+                    want = [v.hex() for v in np.asarray(row)[ids].tolist()]
+                    for taken in (row.take(ids), row.take(tuple(ids)),
+                                  row.take(np.array(ids))):
+                        assert [v.hex() for v in taken.tolist()] == want
+                    if kind != "dense":
+                        assert [v.hex() for v in row.values_at(ids)] == want
+                for constrained in (True, False):
+                    for beam_size in (1, 3, 10):
+                        got = beam_search(scorer, (), ctx, constrained=constrained,
+                                          beam_size=beam_size, max_len=40)
+                        want = reference_beam_search(scorer, (), ctx,
+                                                     constrained=constrained,
+                                                     beam_size=beam_size, max_len=40)
+                        assert got == want, (n, kind, seed, constrained, beam_size)
+                        assert [h.log_prob.hex() for h in got] == \
+                            [h.log_prob.hex() for h in want]
+                        assert all(type(h.log_prob) is float for h in got)
+                        compared += len(got)
     assert compared > 100
 
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from kbqa.errors import TripleParseError
 from kbqa.fixtures import TOY_TRIPLES, toy_store
-from kbqa.store import LiteralValue, StoreBuilder, parse_literal, reduce_iri
+from kbqa.store import LiteralValue, StoreBuilder, TripleStore, parse_literal, reduce_iri
 
 from randgen import random_store
 from references import toy_aliases_tsv, toy_triples_tsv
@@ -261,3 +262,30 @@ def test_entity_label_and_meta(toy):
     assert toy.entity_label("e1") == "decimetre"
     assert toy.alias_lookup("lox") == [("ox1", 0.7)]
     assert toy.entity_label("nonexistent") == "nonexistent"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_freeze_pauses_the_collector_and_restores_its_state(monkeypatch, enabled):
+    """The cyclic collector is off while the indexes are built, and the
+    caller's state comes back after the build, also when it fails."""
+    build = TripleStore._build
+    during = []
+
+    def recording_build(self, builder):
+        during.append(gc.isenabled())
+        if builder.type_relation == "fail":
+            raise RuntimeError("build failed")
+        build(self, builder)
+
+    monkeypatch.setattr(TripleStore, "_build", recording_build)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        store = StoreBuilder().load_triples(io.StringIO("s\tr\to\n")).freeze()
+        assert len(store) == 1 and gc.isenabled() is enabled
+        with pytest.raises(RuntimeError):
+            StoreBuilder(type_relation="fail").freeze()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
