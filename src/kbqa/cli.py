@@ -160,8 +160,9 @@ _STORE_FILES = (
 
 
 def _read(path, read, *args, **options):
-    """`read(*args, lines, source=path, **options)` over the file's lines."""
-    with open(path, encoding="utf-8") as handle:
+    """`read(*args, lines, source=path, **options)` over the file's
+    lines; a leading UTF-8 byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as handle:
         return read(*args, handle, source=str(path), **options)
 
 

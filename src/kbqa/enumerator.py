@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .sexpr import (And, ClassRef, EntityRef, Join, LiteralRef, LogicalForm,
-                    Reverse, print_canonical, relation_count)
+                    Reverse, print_canonical)
 from .store import LiteralValue, TripleStore
 
 
@@ -99,25 +99,26 @@ def enumerate_elfs(starts: list[StartPoint], store: TripleStore,
                    cfg: EnumConfig = EnumConfig()) -> list[LogicalForm]:
     """Index-driven neighborhood walk; see the module docstring for the
     output contract and the cost model."""
-    collected: dict[str, LogicalForm] = {}
+    # print -> (hop, form). A form made at hop h has h relations, and a
+    # class wrap adds none, so the hop is the form's relation count.
+    collected: dict[str, tuple[int, LogicalForm]] = {}
 
-    def keep(base_members, joins: list[tuple[Join, set]]) -> None:
+    def keep(hop: int, base_members, joins: list[tuple[Join, set]]) -> None:
         for form, members in joins:
-            collected.setdefault(print_canonical(form), form)
+            collected.setdefault(print_canonical(form), (hop, form))
             # A class read from a member's type edge has that member
             # among its instances, so a wrap is never empty.
             for wrapped in _class_wraps(form, members, base_members, store):
-                collected.setdefault(print_canonical(wrapped), wrapped)
+                collected.setdefault(print_canonical(wrapped), (hop, wrapped))
 
     for start in dict.fromkeys(starts):
         if not store.has_node(start.value):
             continue  # the start denotes nothing, so every form on it is empty
         joins = _joins(start.ref(), [start.value], store)
-        keep([start.value], joins)
+        keep(1, [start.value], joins)
         if cfg.hop_limit == 2:
             for form, members in joins:
-                keep(members, _joins(form, members, store))
+                keep(2, members, _joins(form, members, store))
 
-    ordered = sorted(collected.items(), key=lambda kv: (relation_count(kv[1]), kv[0]))
-    return [form for _key, form in ordered[:cfg.max_candidates]]
-
+    ordered = sorted(collected.items(), key=lambda kv: (kv[1][0], kv[0]))
+    return [form for _key, (_hop, form) in ordered[:cfg.max_candidates]]

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Mapping, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from .errors import DataError, NoCandidateError, ScorerProtocolError
 from .scorers import LineProcess
@@ -101,17 +101,25 @@ class LexicalScorer:
     """
 
     def __init__(self, corpus: Optional[Sequence[str]] = None):
-        self._idf: dict[str, float] = {}
-        self._unseen = 1.0  # the weight of a token outside the corpus
-        if corpus:
-            df: dict[str, int] = {}
-            for doc in corpus:
-                for token in set(text_words(doc)):
-                    df[token] = df.get(token, 0) + 1
-            n_docs = len(corpus)
-            for token, count in df.items():
-                self._idf[token] = math.log((1 + n_docs) / (1 + count)) + 1.0
-            self._unseen = math.log(1 + n_docs) + 1.0
+        df: dict[str, int] = {}
+        for doc in corpus or ():
+            for token in set(text_words(doc)):
+                df[token] = df.get(token, 0) + 1
+        self._set_idf(len(corpus or ()), df)
+
+    @classmethod
+    def from_counts(cls, documents: int, df: Mapping[str, int]) -> "LexicalScorer":
+        """The scorer of a corpus of `documents` documents, `df[t]` of
+        which hold token t."""
+        scorer = cls()
+        scorer._set_idf(documents, df)
+        return scorer
+
+    def _set_idf(self, documents: int, df: Mapping[str, int]) -> None:
+        # With no documents, every token weighs log(1) + 1 = 1.
+        self._idf = {token: math.log((1 + documents) / (1 + count)) + 1.0
+                     for token, count in df.items()}
+        self._unseen = math.log(1 + documents) + 1.0  # a token outside the corpus
 
     def score(self, question: Question, candidate_text: str) -> float:
         words = text_words(candidate_text)
@@ -134,13 +142,14 @@ class LexicalScorer:
 
 
 def build_lexical_scorer(store: TripleStore) -> LexicalScorer:
-    corpus = list(store.catalog)
-    for entity in sorted(store.all_entities()):
-        meta = store.entity_meta(entity)
-        if meta.label:
-            corpus.append(meta.label)
-        corpus.extend(meta.aliases)
-    return LexicalScorer(corpus)
+    """IDF over a corpus of the catalog names and the store's entity
+    texts (see `TripleStore.entity_text_counts`), one document each."""
+    documents, entity_df = store.entity_text_counts()
+    df = dict(entity_df)
+    for name in store.catalog:
+        for token in set(text_words(name)):
+            df[token] = df.get(token, 0) + 1
+    return LexicalScorer.from_counts(len(store.catalog) + documents, df)
 
 
 class ConstantScorer:
@@ -163,7 +172,7 @@ class TableScorer:
 
     @staticmethod
     def from_json_file(path: str) -> "TableScorer":
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             try:
                 scores = json.load(handle)
             except ValueError as exc:

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import gc
 import math
+import operator
 import re
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from types import MappingProxyType
@@ -83,6 +86,9 @@ def _strip_quotes(text: str) -> tuple[str, bool]:
     return text, False
 
 
+_LITERAL_HEADS = frozenset('"-0123456789')
+
+
 def parse_literal(text: str) -> Optional[LiteralValue]:
     """Parse a literal token; return None when the token is not
     literal-shaped (and therefore an entity/class id).
@@ -90,6 +96,18 @@ def parse_literal(text: str) -> Optional[LiteralValue]:
     Raises ValueError when the token is literal-shaped but inconsistent,
     e.g. a payload that does not parse in its tag's kind.
     """
+    # A literal holds a `^^` tag, or starts with the quote of a string
+    # or the sign or (any Unicode decimal) digit of a number. Any other
+    # token is an id, and most object tokens are, so they skip the
+    # checks of `_classify_literal`, which would all fail.
+    head = text[:1]
+    if head not in _LITERAL_HEADS and "^^" not in text and not head.isdecimal():
+        return None
+    return _classify_literal(text)
+
+
+def _classify_literal(text: str) -> Optional[LiteralValue]:
+    """`parse_literal` without its shortcut for id-shaped tokens."""
     if "^^" in text:
         payload, tag = text.rsplit("^^", 1)
         payload, _ = _strip_quotes(payload)
@@ -149,7 +167,12 @@ class Triple(NamedTuple):
     object: Object
 
 
-@dataclass(frozen=True)
+# `_new_tuple(Triple, (s, r, o))` is `Triple(s, r, o)` without the
+# Python-level `__new__` of a NamedTuple.
+_new_tuple = tuple.__new__
+
+
+@dataclass(frozen=True, slots=True)
 class EntityMeta:
     label: str = ""
     aliases: tuple[str, ...] = ()
@@ -183,21 +206,42 @@ _NT_RE = re.compile(
 )
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector off, and restore
+    the caller's state after it, also when it raises. Loading and
+    freezing a store make millions of containers and free none, so a
+    collection during them is pure cost."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_rows(lines: Iterable[str], source: Optional[str],
               parse_row: Callable[[str], None], comments: bool = False) -> None:
-    """The one loop over the lines of an input file. Lines are numbered
-    from 1; blank lines are skipped, and so are `#` lines when the
-    format allows comments. Each other line, without its newline, goes
-    to `parse_row`; a ValueError, KeyError or DataError it raises
-    becomes a TripleParseError that names the file and the line."""
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or comments and line.lstrip().startswith("#"):
-            continue
-        try:
-            parse_row(line)
-        except (ValueError, KeyError, DataError) as exc:
-            raise TripleParseError(str(exc), line_no, source) from exc
+    """The one loop over the lines of an input file, run with the
+    collector paused. Lines are numbered from 1; blank lines are
+    skipped, and so are `#` lines when the format allows comments. Each
+    other line, without its newline, goes to `parse_row`; a ValueError,
+    KeyError or DataError it raises becomes a TripleParseError that
+    names the file and the line."""
+    with collector_paused():
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\n")
+            # lstrip() returns the line itself when nothing leads it.
+            if not line or line.isspace() or comments and line.lstrip()[:1] == "#":
+                continue
+            try:
+                parse_row(line)
+            except (ValueError, KeyError, DataError) as exc:
+                raise TripleParseError(str(exc), line_no, source) from exc
+
+
+_split_tabs = operator.methodcaller("split", "\t")
 
 
 def _tab_fields(line: str, count: int = 3) -> list[str]:
@@ -247,35 +291,40 @@ class StoreBuilder:
             return
         self._catalog[item.name] = item
 
-    def _register(self, kind: str, name: str) -> None:
-        if name not in self._catalog:
-            self._catalog[name] = SchemaItem(kind, name)
-
     # -- triples -------------------------------------------------------
 
     def add_triple(self, subject: str, relation: str, obj: Object) -> None:
         if not subject or not relation:
             raise DataError("triple needs non-empty subject and relation")
-        triple = Triple(subject, relation, obj)
-        if triple in self._triples:
+        triple = _new_tuple(Triple, (subject, relation, obj))
+        triples = self._triples
+        size = len(triples)
+        triples.setdefault(triple)  # one hash, where `in` and a store make two
+        if len(triples) == size:
             return
-        self._triples[triple] = None
-        self._register("relation", relation)
-        if relation == self.type_relation and isinstance(obj, str):
-            self._register("class", obj)
+        catalog = self._catalog
+        if relation not in catalog:
+            catalog[relation] = SchemaItem("relation", relation)
+        if relation == self.type_relation and isinstance(obj, str) and obj not in catalog:
+            catalog[obj] = SchemaItem("class", obj)
 
     def load_triples(self, lines: Iterable[str], fmt: str = "tsv3",
                      source: Optional[str] = None) -> "StoreBuilder":
         if fmt not in ("tsv3", "ntriples"):
             raise DataError(f"unknown triple format: {fmt!r}")
-        split = _tab_fields if fmt == "tsv3" else _ntriples_fields
+        # A C-level split for TSV; the field count is checked below.
+        split = _split_tabs if fmt == "tsv3" else _ntriples_fields
+        add_triple = self.add_triple
 
         def parse_row(line: str) -> None:
-            subject, relation, obj_text = split(line)
+            fields = split(line)
+            if len(fields) != 3:
+                raise DataError(f"expected 3 tab-separated fields, got {len(fields)}")
+            subject, relation, obj_text = fields
             literal = parse_literal(obj_text)
             if literal is None and not obj_text:
                 raise DataError("empty object field")
-            self.add_triple(subject, relation, obj_text if literal is None else literal)
+            add_triple(subject, relation, obj_text if literal is None else literal)
 
         read_rows(lines, source, parse_row, comments=True)
         return self
@@ -355,42 +404,71 @@ class TripleStore:
     """Frozen, fully indexed store. All methods are read-only."""
 
     def __init__(self, builder: StoreBuilder):
-        # The build makes millions of containers and frees none, so a
-        # cyclic-GC pass during it is pure cost.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             self._build(builder)
-        finally:
-            if enabled:
-                gc.enable()
 
     def _build(self, builder: StoreBuilder) -> None:
-        self.type_relation = builder.type_relation
+        type_relation = self.type_relation = builder.type_relation
         self._triples: tuple[Triple, ...] = tuple(builder._triples)
         self._catalog: dict[str, SchemaItem] = dict(builder._catalog)
 
-        # The index leaves are built as lists and frozen to tuples below;
-        # the triples are distinct, so no leaf repeats an entry.
+        # Each index leaf starts as a 1-tuple, and most leaves stay one.
+        # A leaf that grows becomes a list, noted in `grown` and frozen
+        # to a tuple after the loop. The triples are distinct, so no
+        # leaf repeats an entry. The two indexes are filled by the same
+        # code, written out twice to save a call per triple.
         spo: dict[str, dict[str, tuple]] = {}
         ops: dict[Object, dict[str, tuple]] = {}
+        grown: list[tuple[dict, str]] = []
         by_relation: dict[str, list[Triple]] = {}
         class_members: dict[str, set[str]] = {}
         multi_typed: list[str] = []
         entities: set[str] = set()
         for t in self._triples:
-            objects = spo.setdefault(t.subject, {}).setdefault(t.relation, [])
-            objects.append(t.object)
-            ops.setdefault(t.object, {}).setdefault(t.relation, []).append(t.subject)
-            by_relation.setdefault(t.relation, []).append(t)
-            entities.add(t.subject)
-            if t.relation == self.type_relation:
-                if len(objects) == 2:
-                    multi_typed.append(t.subject)
-                if isinstance(t.object, str):
-                    class_members.setdefault(t.object, set()).add(t.subject)
-            elif isinstance(t.object, str):
-                entities.add(t.object)
+            s, r, o = t
+            leaves = spo.get(s)
+            if leaves is None:
+                spo[s] = {r: (o,)}
+            else:
+                leaf = leaves.get(r)
+                if leaf is None:
+                    leaves[r] = (o,)
+                elif leaf.__class__ is list:
+                    leaf.append(o)
+                else:
+                    leaves[r] = [*leaf, o]
+                    grown.append((leaves, r))
+                    if r == type_relation:
+                        multi_typed.append(s)
+            leaves = ops.get(o)
+            if leaves is None:
+                ops[o] = {r: (s,)}
+            else:
+                leaf = leaves.get(r)
+                if leaf is None:
+                    leaves[r] = (s,)
+                elif leaf.__class__ is list:
+                    leaf.append(s)
+                else:
+                    leaves[r] = [*leaf, s]
+                    grown.append((leaves, r))
+            rows = by_relation.get(r)
+            if rows is None:
+                by_relation[r] = [t]
+            else:
+                rows.append(t)
+            if r == type_relation:
+                if isinstance(o, str):
+                    members = class_members.get(o)
+                    if members is None:
+                        class_members[o] = {s}
+                    else:
+                        members.add(s)
+            elif isinstance(o, str):
+                entities.add(o)
+        for leaves, r in grown:
+            leaves[r] = tuple(leaves[r])
+        entities.update(spo)
         entities.update(builder._labels)
 
         # cotypes[o]: the string classes of the subjects typed o. A
@@ -398,32 +476,55 @@ class TripleStore:
         # multi-typed subjects need a second look.
         cotypes: dict[Object, set[str]] = {c: {c} for c in class_members}
         for subject in multi_typed:
-            types = spo[subject][self.type_relation]
+            types = spo[subject][type_relation]
             classes = [o for o in types if isinstance(o, str)]
             for o in types:
                 cotypes.setdefault(o, set()).update(classes)
 
+        # Each raw alias is folded once. Its surface keys the alias index,
+        # and, split at the spaces, gives its words for the counts below.
         alias_index: dict[str, list[tuple[str, float]]] = {}
         alias_lists: dict[str, list[str]] = {}
+        folded: dict[str, str] = {}
         for alias, entity, popularity in builder._alias_rows:
-            folded = fold_surface(alias)
-            alias_index.setdefault(folded, []).append((entity, popularity))
-            alias_lists.setdefault(entity, []).append(alias)
+            surface = folded.get(alias)
+            if surface is None:
+                surface = folded[alias] = fold_surface(alias)
+            alias_index.setdefault(surface, []).append((entity, popularity))
+            aliases = alias_lists.get(entity)
+            if aliases is None:
+                alias_lists[entity] = [alias]
+            else:
+                aliases.append(alias)
             entities.add(entity)
-        for folded, rows in alias_index.items():
-            # popularity descending, ties by entity id for determinism
-            rows.sort(key=lambda row: (-row[1], row[0]))
+        for rows in alias_index.values():
+            if len(rows) > 1:
+                # popularity descending, ties by entity id for determinism
+                rows.sort(key=lambda row: (-row[1], row[0]))
 
+        labels = builder._labels
         meta: dict[str, EntityMeta] = {}
         for entity in entities:
             aliases = tuple(dict.fromkeys(alias_lists.get(entity, ())))
-            label = builder._labels.get(entity) or (aliases[0] if aliases else "")
+            label = labels.get(entity) or (aliases[0] if aliases else "")
             meta[entity] = EntityMeta(label, aliases)
 
-        for index in (spo, ops):
-            for leaves in index.values():
-                for key, leaf in leaves.items():
-                    leaves[key] = tuple(leaf)
+        # The entity-text documents: each entity's label, when it has
+        # one, and each of its distinct aliases, so that a label taken
+        # from the first alias is two documents. A document's words are
+        # its folded surface split at the spaces, and documents with the
+        # same surface are counted together.
+        surfaces: list[str] = []
+        for m in meta.values():
+            if m.label:
+                surface = folded.get(m.label)
+                surfaces.append(fold_surface(m.label) if surface is None else surface)
+            surfaces.extend(map(folded.__getitem__, m.aliases))
+        word_counts: dict[str, int] = {}
+        for surface, count in Counter(surfaces).items():
+            for word in set(surface.split()):
+                word_counts[word] = word_counts.get(word, 0) + count
+
         self._spo = spo
         self._ops = ops
         self._by_relation = by_relation
@@ -432,6 +533,8 @@ class TripleStore:
         self._entities = frozenset(entities)
         self._alias_index = alias_index
         self._meta = meta
+        self._entity_documents = len(surfaces)
+        self._entity_word_counts: Mapping[str, int] = MappingProxyType(word_counts)
 
     # -- basic accessors -------------------------------------------------
 
@@ -511,6 +614,13 @@ class TripleStore:
 
     def entity_meta(self, entity: str) -> EntityMeta:
         return self._meta.get(entity, EntityMeta())
+
+    def entity_text_counts(self) -> tuple[int, Mapping[str, int]]:
+        """The number of entity-text documents, and a read-only map from
+        each word of them to the number of documents that hold it. The
+        documents are each entity's label, when it has one, and each of
+        its distinct aliases; their words are `text_words`'."""
+        return self._entity_documents, self._entity_word_counts
 
     # -- dumps -------------------------------------------------------------
 

@@ -168,12 +168,8 @@ def build_vocabulary(store: TripleStore,
         vocab.add(word)
     for entity in sorted(store.all_entities()):
         vocab.add(entity)
-    text_vocab: set[str] = set()
-    for entity in store.all_entities():
-        meta = store.entity_meta(entity)
-        text_vocab.update(text_words(meta.label))
-        for alias in meta.aliases:
-            text_vocab.update(text_words(alias))
+    _, entity_words = store.entity_text_counts()
+    text_vocab = set(entity_words)  # the words of every label and alias
     for text in extra_texts:
         text_vocab.update(text_words(text))
     for word in sorted(text_vocab):

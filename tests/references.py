@@ -1,11 +1,14 @@
 """Test references kept out of the engine: the brute-force enumeration
-oracle that `enumerate_elfs` is checked against, the toy store's text
-files, and three question fixtures around known failure modes
-(disconnected relation, missed comparative, out-of-catalog name).
+oracle that `enumerate_elfs` is checked against, the two-pass
+vocabulary and IDF table that the store's one-pass entity-text counts
+are checked against, the toy store's text files, and three question
+fixtures around known failure modes (disconnected relation, missed
+comparative, out-of-catalog name).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from kbqa.enumerator import EnumConfig, StartPoint
@@ -13,7 +16,8 @@ from kbqa.executor import evaluate
 from kbqa.fixtures import TOY_ALIASES, TOY_TRIPLES
 from kbqa.sexpr import (And, ClassRef, Join, LogicalForm, Reverse,
                         print_canonical, relation_count)
-from kbqa.store import LiteralValue, StoreBuilder, TripleStore
+from kbqa.store import LiteralValue, StoreBuilder, TripleStore, text_words
+from kbqa.vocab import _NUMBER_WORD_RE, Vocabulary, tokenize_name
 
 
 def completeness_oracle(starts: list[StartPoint], store: TripleStore,
@@ -55,6 +59,73 @@ def completeness_oracle(starts: list[StartPoint], store: TripleStore,
     ordered = sorted(collected.values(),
                      key=lambda f: (relation_count(f), print_canonical(f)))
     return ordered[:cfg.max_candidates]
+
+
+def two_pass_vocabulary(store: TripleStore, extra_texts=()) -> Vocabulary:
+    """`build_vocabulary` as it was before the store counted its entity
+    words: each label and alias is split into words again here."""
+    vocab = Vocabulary()
+    words: set[str] = set()
+    for name in sorted(store.catalog):
+        words.update(t for t in tokenize_name(name) if t not in "._")
+    for word in sorted(words):
+        vocab.add(word)
+    for entity in sorted(store.all_entities()):
+        vocab.add(entity)
+    text_vocab: set[str] = set()
+    for entity in store.all_entities():
+        meta = store.entity_meta(entity)
+        text_vocab.update(text_words(meta.label))
+        for alias in meta.aliases:
+            text_vocab.update(text_words(alias))
+    for text in extra_texts:
+        text_vocab.update(text_words(text))
+    for word in sorted(text_vocab):
+        if not _NUMBER_WORD_RE.fullmatch(word):
+            vocab.add(word)
+    return vocab.freeze()
+
+
+def two_pass_idf(store: TripleStore) -> tuple[dict[str, float], float]:
+    """The lexical scorer's IDF table and unseen-token weight, from the
+    corpus `build_lexical_scorer` used before the store counted its
+    entity words: the catalog names, then each entity's label when it
+    has one and each of its aliases, one document each."""
+    corpus = list(store.catalog)
+    for entity in sorted(store.all_entities()):
+        meta = store.entity_meta(entity)
+        if meta.label:
+            corpus.append(meta.label)
+        corpus.extend(meta.aliases)
+    df: dict[str, int] = {}
+    for doc in corpus:
+        for token in set(text_words(doc)):
+            df[token] = df.get(token, 0) + 1
+    n = len(corpus)
+    idf = {token: math.log((1 + n) / (1 + count)) + 1.0 for token, count in df.items()}
+    return idf, math.log(1 + n) + 1.0
+
+
+def entity_text_store() -> TripleStore:
+    """Entity texts at the edges of the document counts: an entity with
+    no label or alias, a label set empty, a raw alias given twice,
+    aliases that differ only in case, a label that is also an alias,
+    and labels and aliases with numbers and repeated words."""
+    builder = StoreBuilder()
+    for s, r, o in [("e1", "type_rel", "geo.city"), ("e1", "geo.city.route", "e2"),
+                    ("e2", "type_rel", "geo.road"), ("e3", "geo.city.route", "e2"),
+                    ("e4", "geo.road.length_km", LiteralValue("float", 3.5, "float"))]:
+        builder.add_triple(s, r, o)
+    builder.set_entity_label("e1", "Springfield 2")
+    builder.set_entity_label("e2", "Route 66 route")
+    builder.set_entity_label("e4", "")
+    for alias, entity, popularity in [
+            ("Route 66", "e2", 0.9), ("Route 66", "e2", 0.4), ("route 66", "e2", 0.2),
+            ("ROUTE-66", "e2", 0.1), ("Springfield 2", "e1", 0.5),
+            ("springfield", "e1", 0.5), ("3.5 km road", "e4", 0.3),
+            ("km road 3.5", "e4", 0.3), ("route route", "e5", 0.1)]:
+        builder.add_alias(alias, entity, popularity)
+    return builder.freeze()
 
 
 def toy_triples_tsv() -> str:

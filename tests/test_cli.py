@@ -1,9 +1,11 @@
 import json
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from kbqa.cli import main
+from kbqa.cli import load_store, main
 
 from references import toy_aliases_tsv, toy_triples_tsv
 
@@ -292,6 +294,32 @@ def test_bad_meta_type_relation_is_a_data_error(tmp_path, capsys):
         assert run(["execute", "--kb", str(out_dir), "(COUNT sf.engine)"]) == 2, value
         assert "meta.json:1: bad store meta record: type_relation must be a non-empty " \
             "string" in capsys.readouterr().err, value
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_does_not_split_an_entity(tmp_path):
+    """A store file that starts with a UTF-8 byte-order mark loads its
+    first subject as the same entity as the later lines name."""
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    (store_dir / "triples.tsv").write_bytes(BOM + b"e1\tr.x\te2\ne1\ttype_rel\tc.a\n")
+    store = load_store(SimpleNamespace(kb=str(store_dir), type_relation="type_rel"))
+    assert sorted(store.all_entities()) == ["e1", "e2"]
+    assert store.instances_of("c.a") == {"e1"}
+
+
+def test_byte_order_mark_dataset_and_score_table_load(kb_files, dataset, tmp_path, capsys):
+    bom_dataset = tmp_path / "bom.jsonl"
+    bom_dataset.write_bytes(BOM + Path(dataset).read_bytes())
+    table = tmp_path / "scores.json"
+    table.write_bytes(BOM + b'{"sf.engine": 1.0}')
+    assert run(["retrieve-schema", "--kb", kb_files["kb"], "--retrieval-scorer",
+                f"oracle:{table}", str(bom_dataset)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 2
+    assert records[0]["classes"][0]["name"] == "sf.engine"
 
 
 def test_out_of_vocabulary_form_names_file_and_line(tmp_path, capsys):

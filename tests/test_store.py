@@ -4,12 +4,16 @@ import random
 
 import pytest
 
-from kbqa.errors import TripleParseError
+from kbqa.errors import DataError, TripleParseError
 from kbqa.fixtures import TOY_TRIPLES, toy_store
-from kbqa.store import LiteralValue, StoreBuilder, TripleStore, parse_literal, reduce_iri
+from kbqa.retrieve import build_lexical_scorer
+from kbqa.store import (LiteralValue, StoreBuilder, TripleStore, _classify_literal,
+                        parse_literal, read_rows, reduce_iri)
+from kbqa.vocab import build_vocabulary
 
 from randgen import random_store
-from references import toy_aliases_tsv, toy_triples_tsv
+from references import (entity_text_store, toy_aliases_tsv, toy_triples_tsv,
+                        two_pass_idf, two_pass_vocabulary)
 
 
 def fixture_scan(pred):
@@ -248,6 +252,107 @@ def test_parse_literal_shapes():
     assert parse_literal("2001-01-05^^datetime").kind == "datetime"
     with pytest.raises(ValueError):
         parse_literal("abc^^float")
+
+
+def _literal_outcome(parse, text):
+    try:
+        lit = parse(text)
+    except ValueError as exc:
+        return ("error", type(exc))
+    if lit is None:
+        return None
+    return (lit.kind, type(lit.value), repr(lit.value), lit.type_tag)
+
+
+def test_parse_literal_shortcut_agrees_with_the_classifier():
+    """`parse_literal` returns None for an id-shaped token before any
+    check; on every shape it gives what the full checks give."""
+    shapes = [
+        "257.0^^float", "13.9", "42", '"hello world"', "plain_id",
+        "2001-01-05^^datetime", "abc^^float",
+        # ids with `^^` or a quote after the first character
+        "m.0^^x", "e1^^", "x^^float", 'a"b"', 'id"', 'say "hi"',
+        # the sign alone and before other text
+        "-", "-x", "-5", "-5.25", "--5", "-5^^integer", '-"q"',
+        # quotes
+        '"', '""', '"a"b"', '"3"', '"x"^^string',
+        # any Unicode decimal digit starts a number, other digits do not
+        "\u0663", "\u0663.\u0665", "\u00b2", "\u2163",
+        "", " 5", "1.", ".5", "1e5", "^^float", "5^^", "1.5^^float^^integer",
+    ]
+    shapes += [d + tail for d in "0123456789" for tail in ("", "0", ".5", "x", "^^integer")]
+    for text in shapes:
+        assert _literal_outcome(parse_literal, text) == \
+            _literal_outcome(_classify_literal, text), text
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_rows_pauses_the_collector_and_restores_its_state(enabled):
+    """Every loader's rows are parsed with the collector off, and the
+    caller's state comes back after a clean file and after a bad row."""
+    during = []
+
+    def parse_row(line):
+        during.append(gc.isenabled())
+        if line == "bad":
+            raise DataError("bad row")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        read_rows(["a\n", "b\n"], "ok.tsv", parse_row)
+        assert gc.isenabled() is enabled
+        with pytest.raises(TripleParseError) as info:
+            read_rows(["a\n", "bad\n", "c\n"], "bad.tsv", parse_row)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (info.value.source, info.value.line_no) == ("bad.tsv", 2)
+    assert during == [False] * 4
+
+
+def test_read_rows_skips_blank_and_comment_lines():
+    lines = ["a\n", "\n", "  \n", "\t\u00a0\n", "# c\n", "  # c\n", "b # not\n",
+             "c\n\n", "#\n", " x\n", "last"]
+    for comments in (True, False):
+        seen = []
+        read_rows(lines, None, seen.append, comments=comments)
+        stripped = [line.rstrip("\n") for line in lines]
+        assert seen == [line for line in stripped if line.strip() and not (
+            comments and line.lstrip().startswith("#"))]
+
+
+def _text_stores():
+    rng = random.Random(8)
+    return [toy_store(), entity_text_store()] + [random_store(rng) for _ in range(20)]
+
+
+def test_vocabulary_and_idf_match_the_two_pass_reference():
+    """The store counts its entity words in the one pass that folds the
+    aliases; the vocabulary and the IDF table built from those counts
+    equal the ones built by splitting every label and alias again."""
+    for store in _text_stores():
+        for extra in ((), ("which route is 66 km", "ROUTE Alpha")):
+            got = build_vocabulary(store, extra)
+            want = two_pass_vocabulary(store, extra)
+            assert got.tokens(range(got.size)) == want.tokens(range(want.size))
+        scorer = build_lexical_scorer(store)
+        idf, unseen = two_pass_idf(store)
+        assert {t: w.hex() for t, w in scorer._idf.items()} == \
+            {t: w.hex() for t, w in idf.items()}
+        assert scorer._unseen.hex() == unseen.hex()
+
+
+def test_entity_text_counts_of_hand_made_texts():
+    documents, counts = entity_text_store().entity_text_counts()
+    # e1: label + 2 aliases; e2: label + 3 distinct aliases; e3: none;
+    # e4: the empty label falls back to the first alias, + 2 aliases;
+    # e5 (known only by its alias): label from the alias + the alias.
+    assert documents == 3 + 4 + 0 + 3 + 2
+    assert dict(counts) == {"springfield": 3, "2": 2, "route": 6, "66": 4,
+                            "3.5": 3, "km": 3, "road": 3}
+    with pytest.raises(TypeError):
+        counts["route"] = 0
 
 
 def test_literal_identity_promotes_numeric_kinds():
