@@ -124,8 +124,13 @@ class NgramScorer:
         self._unseen = SparseRow(vocab_size, -math.log(vocab_size))
 
     def next_log_probs(self, context, prefix) -> SparseRow:
-        history = ((self.begin_id,) * (self.order - 1) + tuple(prefix))
-        history = history[len(history) - (self.order - 1):] if self.order > 1 else ()
+        # The history is the last order-1 ids, padded with the begin id.
+        width = self.order - 1
+        if not width:
+            return self._rows.get((), self._unseen)
+        history = tuple(prefix[-width:])
+        if len(history) < width:
+            history = (self.begin_id,) * (width - len(history)) + history
         return self._rows.get(history, self._unseen)
 
 

@@ -10,6 +10,20 @@ Objects are either entity-id strings or :class:`LiteralValue`. Literal
 identity (for indexing, deduplication, and equality) is by promoted
 value within three categories (number, string, datetime); the exact
 numeric kind and the optional type tag are kept only for printing.
+
+Triples are interned, not kept as objects. The builder gives every
+string and every literal object a term id, and every relation a small
+int, and appends each triple as one row of three int32 columns. A
+literal's row keeps its own term, so a dump prints each literal as it
+was written; its node, which indexes and deduplicates it, is the first
+term equal to it. `freeze` drops each repeated (subject, relation,
+node) row after its first, then orders the rows twice, stably: by
+subject and by object node (compressed sparse rows, one offset array
+each). `out_edges` and `in_edges` build a node's relation -> tuple view
+from its run of rows on first use and memoise it, as `relation_triples`
+does a relation's triples. Two threads that race on a first use build
+equal results and both return the one stored first, and nothing else
+changes after `freeze`, so the store is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,12 +32,15 @@ import gc
 import math
 import operator
 import re
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .errors import DataError, TripleParseError
 
@@ -264,13 +281,28 @@ def _ntriples_fields(line: str) -> tuple[str, str, str]:
     return reduce_iri(match.group(1)), reduce_iri(match.group(2)), obj_text
 
 
+_EMPTY_END = "triple needs non-empty subject and relation"
+
+
 class StoreBuilder:
     """Single-writer ingestion state; call freeze() when done."""
 
     def __init__(self, type_relation: str = "type_rel"):
         self.type_relation = type_relation
-        # Insertion-ordered; a literal object dedupes on its identity.
-        self._triples: dict[Triple, None] = {}
+        # One row per added triple, duplicates included: subject term,
+        # relation id, object term.
+        self._subjects = array("i")
+        self._relations = array("i")
+        self._objects = array("i")
+        self._relation_ids: dict[str, int] = {}
+        # term id -> the object as written, and -> its node id. A string
+        # is its own node; a literal's node is the first term equal to it.
+        self._terms: list[Object] = []
+        self._nodes = array("i")
+        # string or literal (by LiteralValue equality) -> node id
+        self._ids: dict[Object, int] = {}
+        # id() of each literal object added -> its term
+        self._literal_terms: dict[int, int] = {}
         self._catalog: dict[str, SchemaItem] = {}
         self._labels: dict[str, str] = {}
         self._alias_rows: list[tuple[str, str, float]] = []
@@ -293,20 +325,46 @@ class StoreBuilder:
 
     # -- triples -------------------------------------------------------
 
+    def _term(self, obj: Object) -> int:
+        """The term of `obj`: a string's own node, or for a literal the
+        term of that very object, so that each row keeps the literal it
+        was written with."""
+        if isinstance(obj, str):
+            term = self._ids.get(obj)
+            if term is None:
+                term = self._ids[obj] = len(self._terms)
+                self._terms.append(obj)
+                self._nodes.append(term)
+            return term
+        term = self._literal_terms.get(id(obj))
+        if term is None:
+            term = self._literal_terms[id(obj)] = len(self._terms)
+            self._terms.append(obj)
+            self._nodes.append(self._ids.setdefault(obj, term))
+        return term
+
     def add_triple(self, subject: str, relation: str, obj: Object) -> None:
         if not subject or not relation:
-            raise DataError("triple needs non-empty subject and relation")
-        triple = _new_tuple(Triple, (subject, relation, obj))
-        triples = self._triples
-        size = len(triples)
-        triples.setdefault(triple)  # one hash, where `in` and a store make two
-        if len(triples) == size:
-            return
-        catalog = self._catalog
-        if relation not in catalog:
-            catalog[relation] = SchemaItem("relation", relation)
-        if relation == self.type_relation and isinstance(obj, str) and obj not in catalog:
-            catalog[obj] = SchemaItem("class", obj)
+            raise DataError(_EMPTY_END)
+        self._add_row(subject, relation, self._term(obj))
+
+    def _add_row(self, subject: str, relation: str, o: int) -> None:
+        """Append a row whose object is the term `o`."""
+        s = self._ids.get(subject)
+        if s is None:
+            s = self._term(subject)
+        r = self._relation_ids.get(relation)
+        if r is None:
+            r = self._relation_ids[relation] = len(self._relation_ids)
+            if relation not in self._catalog:
+                self._catalog[relation] = SchemaItem("relation", relation)
+        if relation == self.type_relation:
+            obj = self._terms[o]
+            if isinstance(obj, str) and obj not in self._catalog:
+                self._catalog[obj] = SchemaItem("class", obj)
+        self._subjects.append(s)
+        self._relations.append(r)
+        self._objects.append(o)
 
     def load_triples(self, lines: Iterable[str], fmt: str = "tsv3",
                      source: Optional[str] = None) -> "StoreBuilder":
@@ -314,20 +372,52 @@ class StoreBuilder:
             raise DataError(f"unknown triple format: {fmt!r}")
         # A C-level split for TSV; the field count is checked below.
         split = _split_tabs if fmt == "tsv3" else _ntriples_fields
-        add_triple = self.add_triple
+        add_triple, add_row, term = self.add_triple, self._add_row, self._term
+        # object token -> its term. A token parses the same way each
+        # time, so a repeated one skips the parse, and the rows of a
+        # literal token share one object.
+        token_terms: dict[str, int] = {}
 
         def parse_row(line: str) -> None:
             fields = split(line)
             if len(fields) != 3:
                 raise DataError(f"expected 3 tab-separated fields, got {len(fields)}")
-            subject, relation, obj_text = fields
-            literal = parse_literal(obj_text)
-            if literal is None and not obj_text:
-                raise DataError("empty object field")
-            add_triple(subject, relation, obj_text if literal is None else literal)
+            subject, relation, token = fields
+            o = token_terms.get(token)
+            if o is None:
+                literal = parse_literal(token)
+                if literal is None and not token:
+                    raise DataError("empty object field")
+                obj = token if literal is None else literal
+                add_triple(subject, relation, obj)
+                token_terms[token] = term(obj)
+            elif not subject or not relation:
+                raise DataError(_EMPTY_END)
+            else:
+                add_row(subject, relation, o)
 
         read_rows(lines, source, parse_row, comments=True)
         return self
+
+    def _entity_terms(self, rows: "_Rows") -> set[Object]:
+        """The subjects and the entity objects of non-type rows."""
+        terms = self._terms
+        subjects = np.zeros(len(terms), dtype=bool)
+        subjects[rows.s] = True
+        objects = np.zeros(len(terms), dtype=bool)
+        objects[rows.o[rows.r != self._relation_ids.get(self.type_relation, -1)]] = True
+        entities = set(map(terms.__getitem__, np.flatnonzero(subjects).tolist()))
+        entities.update(obj for obj in map(
+            terms.__getitem__, np.flatnonzero(objects & ~subjects).tolist())
+            if isinstance(obj, str))
+        return entities
+
+    def _rows(self) -> "_Rows":
+        """The rows as arrays, copied so that the builder can grow on."""
+        o = np.array(self._objects, dtype=np.int32)
+        return _Rows(np.array(self._subjects, dtype=np.int32),
+                     np.array(self._relations, dtype=np.int32), o,
+                     np.array(self._nodes, dtype=np.int32)[o])
 
     def load_schema(self, lines: Iterable[str], source: Optional[str] = None) -> "StoreBuilder":
         """Schema TSV: kind \\t name [\\t label [\\t domain \\t range]]."""
@@ -370,11 +460,8 @@ class StoreBuilder:
         `strict`."""
         known = None
         if strict:
-            known = set(self._labels)
-            for t in self._triples:
-                known.add(t.subject)
-                if isinstance(t.object, str) and t.relation != self.type_relation:
-                    known.add(t.object)
+            known = self._entity_terms(self._rows())
+            known.update(self._labels)
 
         def parse_row(line: str) -> None:
             alias, entity, pop_text = _tab_fields(line)
@@ -400,6 +487,80 @@ class StoreBuilder:
 _NO_EDGES: Mapping = MappingProxyType({})
 
 
+class _Rows(NamedTuple):
+    """Triple rows as int32 columns: subject term, relation id, object
+    term, and the object's node."""
+    s: np.ndarray
+    r: np.ndarray
+    o: np.ndarray
+    node: np.ndarray
+
+    def take(self, which: np.ndarray) -> "_Rows":
+        return _Rows(*(column[which] for column in self))
+
+
+def _distinct(rows: _Rows) -> _Rows:
+    """The rows whose (subject, relation, object node) no earlier row
+    has, in row order. The stable lexsort puts each repeat right after
+    the row it repeats; packing the three ids into one integer key would
+    overflow at Freebase scale."""
+    if len(rows.s) < 2:
+        return rows
+    order = np.lexsort((rows.node, rows.r, rows.s))
+    repeat = np.ones(len(order) - 1, dtype=bool)
+    for column in (rows.s, rows.r, rows.node):
+        key = column[order]
+        repeat &= key[1:] == key[:-1]
+    if not repeat.any():
+        return rows
+    keep = np.ones(len(order), dtype=bool)
+    keep[order[1:][repeat]] = False
+    return rows.take(keep)
+
+
+class _Edges:
+    """The rows in a stable order by one end's node (compressed sparse
+    rows): for each node, its rows' relations and the terms at their
+    other end, in row order. A node's relation -> leaf view is built
+    from its run on first use and memoised in `views`, keyed by the
+    node's object."""
+
+    def __init__(self, ids: dict, keys: np.ndarray, relations: np.ndarray,
+                 others: np.ndarray, terms: list, names: list[str]):
+        order = np.argsort(keys, kind="stable")
+        starts = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=len(terms)), out=starts[1:])
+        # A short run slices and iterates cheaper from an array.array,
+        # whose items come out as Python ints.
+        self._starts = array("q", starts.tobytes())
+        self._relations = array("i", relations[order].tobytes())
+        self._others = array("i", others[order].tobytes())
+        self._ids = ids
+        self._terms = terms
+        self._names = names
+        self.views: dict[Object, Mapping[str, tuple]] = {}
+
+    def build(self, obj: Object) -> Mapping[str, tuple]:
+        node = self._ids.get(obj)
+        if node is None:
+            return _NO_EDGES
+        lo, hi = self._starts[node], self._starts[node + 1]
+        terms = self._terms
+        leaves: dict[int, list] = {}
+        for rel, other in zip(self._relations[lo:hi], self._others[lo:hi]):
+            leaf = leaves.get(rel)
+            if leaf is None:
+                leaves[rel] = [terms[other]]
+            else:
+                leaf.append(terms[other])
+        names = self._names
+        view = MappingProxyType({names[rel]: tuple(leaf) for rel, leaf in leaves.items()}) \
+            if leaves else _NO_EDGES
+        # Threads that build the same view at once build equal ones, and
+        # all of them return the one stored first.
+        return self.views.setdefault(obj, view)
+
+
 class TripleStore:
     """Frozen, fully indexed store. All methods are read-only."""
 
@@ -408,75 +569,35 @@ class TripleStore:
             self._build(builder)
 
     def _build(self, builder: StoreBuilder) -> None:
-        type_relation = self.type_relation = builder.type_relation
-        self._triples: tuple[Triple, ...] = tuple(builder._triples)
+        self.type_relation = builder.type_relation
         self._catalog: dict[str, SchemaItem] = dict(builder._catalog)
-
-        # Each index leaf starts as a 1-tuple, and most leaves stay one.
-        # A leaf that grows becomes a list, noted in `grown` and frozen
-        # to a tuple after the loop. The triples are distinct, so no
-        # leaf repeats an entry. The two indexes are filled by the same
-        # code, written out twice to save a call per triple.
-        spo: dict[str, dict[str, tuple]] = {}
-        ops: dict[Object, dict[str, tuple]] = {}
-        grown: list[tuple[dict, str]] = []
-        by_relation: dict[str, list[Triple]] = {}
-        class_members: dict[str, set[str]] = {}
-        multi_typed: list[str] = []
-        entities: set[str] = set()
-        for t in self._triples:
-            s, r, o = t
-            leaves = spo.get(s)
-            if leaves is None:
-                spo[s] = {r: (o,)}
-            else:
-                leaf = leaves.get(r)
-                if leaf is None:
-                    leaves[r] = (o,)
-                elif leaf.__class__ is list:
-                    leaf.append(o)
-                else:
-                    leaves[r] = [*leaf, o]
-                    grown.append((leaves, r))
-                    if r == type_relation:
-                        multi_typed.append(s)
-            leaves = ops.get(o)
-            if leaves is None:
-                ops[o] = {r: (s,)}
-            else:
-                leaf = leaves.get(r)
-                if leaf is None:
-                    leaves[r] = (s,)
-                elif leaf.__class__ is list:
-                    leaf.append(s)
-                else:
-                    leaves[r] = [*leaf, s]
-                    grown.append((leaves, r))
-            rows = by_relation.get(r)
-            if rows is None:
-                by_relation[r] = [t]
-            else:
-                rows.append(t)
-            if r == type_relation:
-                if isinstance(o, str):
-                    members = class_members.get(o)
-                    if members is None:
-                        class_members[o] = {s}
-                    else:
-                        members.add(s)
-            elif isinstance(o, str):
-                entities.add(o)
-        for leaves, r in grown:
-            leaves[r] = tuple(leaves[r])
-        entities.update(spo)
+        terms = self._terms = list(builder._terms)
+        self._ids = dict(builder._ids)
+        self._relation_ids = dict(builder._relation_ids)
+        names = self._relation_names = list(self._relation_ids)
+        rows = self._rows = _distinct(builder._rows())
+        self._out = _Edges(self._ids, rows.s, rows.r, rows.o, terms, names)
+        self._in = _Edges(self._ids, rows.node, rows.r, rows.s, terms, names)
+        self._relation_triples: dict[str, tuple[Triple, ...]] = {}
+        entities = builder._entity_terms(rows)
         entities.update(builder._labels)
 
+        # A type row's string object is a class, whose members are the
+        # subjects of its type rows.
+        type_relation = self.type_relation
+        typed = rows.r == self._relation_ids.get(type_relation, -1)
+        type_objects = np.bincount(rows.node[typed], minlength=len(terms))
+        class_members: dict[str, frozenset[str]] = {}
+        for node in np.flatnonzero(type_objects).tolist():
+            if isinstance(terms[node], str):
+                class_members[terms[node]] = frozenset(self.in_edges(terms[node])[type_relation])
         # cotypes[o]: the string classes of the subjects typed o. A
         # subject with one type edge adds o itself, so only the
         # multi-typed subjects need a second look.
         cotypes: dict[Object, set[str]] = {c: {c} for c in class_members}
-        for subject in multi_typed:
-            types = spo[subject][type_relation]
+        multi_typed = np.bincount(rows.s[typed], minlength=len(terms)) > 1
+        for subject in np.flatnonzero(multi_typed).tolist():
+            types = self.out_edges(terms[subject])[type_relation]
             classes = [o for o in types if isinstance(o, str)]
             for o in types:
                 cotypes.setdefault(o, set()).update(classes)
@@ -490,59 +611,66 @@ class TripleStore:
             surface = folded.get(alias)
             if surface is None:
                 surface = folded[alias] = fold_surface(alias)
-            alias_index.setdefault(surface, []).append((entity, popularity))
+            entries = alias_index.get(surface)
+            if entries is None:
+                alias_index[surface] = [(entity, popularity)]
+            else:
+                entries.append((entity, popularity))
             aliases = alias_lists.get(entity)
             if aliases is None:
                 alias_lists[entity] = [alias]
             else:
                 aliases.append(alias)
-            entities.add(entity)
-        for rows in alias_index.values():
-            if len(rows) > 1:
+        entities.update(alias_lists)
+        for entries in alias_index.values():
+            if len(entries) > 1:
                 # popularity descending, ties by entity id for determinism
-                rows.sort(key=lambda row: (-row[1], row[0]))
+                entries.sort(key=lambda row: (-row[1], row[0]))
+        for entity, aliases in alias_lists.items():
+            if len(aliases) > 1:
+                alias_lists[entity] = list(dict.fromkeys(aliases))
+        labels = dict(builder._labels)
 
-        labels = builder._labels
-        meta: dict[str, EntityMeta] = {}
-        for entity in entities:
-            aliases = tuple(dict.fromkeys(alias_lists.get(entity, ())))
-            label = labels.get(entity) or (aliases[0] if aliases else "")
-            meta[entity] = EntityMeta(label, aliases)
-
-        # The entity-text documents: each entity's label, when it has
-        # one, and each of its distinct aliases, so that a label taken
-        # from the first alias is two documents. A document's words are
-        # its folded surface split at the spaces, and documents with the
-        # same surface are counted together.
+        # The entity-text documents: each entity's label (see `_label`),
+        # when it has one, and each of its distinct aliases, so that a
+        # label taken from the first alias is two documents. A document's
+        # words are its folded surface split at the spaces, and documents
+        # with the same surface are counted together.
         surfaces: list[str] = []
-        for m in meta.values():
-            if m.label:
-                surface = folded.get(m.label)
-                surfaces.append(fold_surface(m.label) if surface is None else surface)
-            surfaces.extend(map(folded.__getitem__, m.aliases))
+        for label in labels.values():
+            if label:
+                surface = folded.get(label)
+                surfaces.append(fold_surface(label) if surface is None else surface)
+        for entity, aliases in alias_lists.items():
+            if aliases[0] and not labels.get(entity):
+                surfaces.append(folded[aliases[0]])
+            surfaces.extend(map(folded.__getitem__, aliases))
         word_counts: dict[str, int] = {}
         for surface, count in Counter(surfaces).items():
             for word in set(surface.split()):
                 word_counts[word] = word_counts.get(word, 0) + count
 
-        self._spo = spo
-        self._ops = ops
-        self._by_relation = by_relation
-        self._class_members = {c: frozenset(m) for c, m in class_members.items()}
+        self._class_members = class_members
         self._cotypes = {o: frozenset(c) for o, c in cotypes.items()}
         self._entities = frozenset(entities)
         self._alias_index = alias_index
-        self._meta = meta
+        self._labels = labels
+        self._aliases = alias_lists
         self._entity_documents = len(surfaces)
         self._entity_word_counts: Mapping[str, int] = MappingProxyType(word_counts)
 
     # -- basic accessors -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self._rows.s)
 
     def triples(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return self._triples(self._rows)
+
+    def _triples(self, rows: _Rows) -> Iterator[Triple]:
+        terms, names = self._terms, self._relation_names
+        for s, r, o in zip(memoryview(rows.s), memoryview(rows.r), memoryview(rows.o)):
+            yield _new_tuple(Triple, (terms[s], names[r], terms[o]))
 
     @property
     def catalog(self) -> dict[str, SchemaItem]:
@@ -563,22 +691,23 @@ class TripleStore:
     def has_node(self, node: Object) -> bool:
         """True when the entity or literal occurs anywhere in the store."""
         if isinstance(node, LiteralValue):
-            return node in self._ops
+            return node in self._ids
         return node in self._entities
 
     # -- graph queries ---------------------------------------------------
 
     def out_edges(self, subject: str) -> Mapping[str, tuple]:
-        """Read-only view of the subject's out-edges: relation -> the
-        index's own tuple of objects."""
-        leaves = self._spo.get(subject)
-        return _NO_EDGES if leaves is None else MappingProxyType(leaves)
+        """Read-only view of the subject's out-edges: relation -> tuple
+        of objects, each as its row wrote it. Relations come in the order
+        of their first row, and each tuple in row order."""
+        view = self._out.views.get(subject)
+        return self._out.build(subject) if view is None else view
 
     def in_edges(self, obj: Object) -> Mapping[str, tuple]:
-        """Read-only view of the node's in-edges: relation -> the index's
-        own tuple of subjects."""
-        leaves = self._ops.get(obj)
-        return _NO_EDGES if leaves is None else MappingProxyType(leaves)
+        """Read-only view of the node's in-edges: relation -> tuple of
+        subjects, ordered as in `out_edges`."""
+        view = self._in.views.get(obj)
+        return self._in.build(obj) if view is None else view
 
     def objects_of(self, subject: str, relation: str) -> set:
         return set(self.out_edges(subject).get(relation, ()))
@@ -587,7 +716,16 @@ class TripleStore:
         return set(self.in_edges(obj).get(relation, ()))
 
     def relation_triples(self, relation: str) -> list[Triple]:
-        return list(self._by_relation.get(relation, ()))
+        """The relation's triples in row order; built on first use and
+        memoised like the edge views."""
+        triples = self._relation_triples.get(relation)
+        if triples is None:
+            rel = self._relation_ids.get(relation)
+            if rel is None:
+                return []
+            triples = self._relation_triples.setdefault(
+                relation, tuple(self._triples(self._rows.take(self._rows.r == rel))))
+        return list(triples)
 
     def instances_of(self, class_name: str) -> frozenset[str]:
         return self._class_members.get(class_name, frozenset())
@@ -608,12 +746,16 @@ class TripleStore:
     def alias_lookup(self, surface: str) -> list[tuple[str, float]]:
         return list(self._alias_index.get(fold_surface(surface), ()))
 
+    def _label(self, entity: str) -> str:
+        """The entity's label, else its first alias, else ""."""
+        aliases = self._aliases.get(entity)
+        return self._labels.get(entity) or (aliases[0] if aliases else "")
+
     def entity_label(self, entity: str) -> str:
-        meta = self._meta.get(entity)
-        return meta.label if meta and meta.label else entity
+        return self._label(entity) or entity
 
     def entity_meta(self, entity: str) -> EntityMeta:
-        return self._meta.get(entity, EntityMeta())
+        return EntityMeta(self._label(entity), tuple(self._aliases.get(entity, ())))
 
     def entity_text_counts(self) -> tuple[int, Mapping[str, int]]:
         """The number of entity-text documents, and a read-only map from
@@ -625,7 +767,7 @@ class TripleStore:
     # -- dumps -------------------------------------------------------------
 
     def dump_triples_tsv(self) -> Iterator[str]:
-        for t in self._triples:
+        for t in self.triples():
             obj = t.object.text() if isinstance(t.object, LiteralValue) else t.object
             yield f"{t.subject}\t{t.relation}\t{obj}"
 
@@ -646,7 +788,7 @@ class TripleStore:
             yield f"{alias}\t{entity}\t{popularity!r}"
 
     def dump_labels_tsv(self) -> Iterator[str]:
-        for entity in sorted(self._meta):
-            meta = self._meta[entity]
-            if meta.label:
-                yield f"{entity}\t{meta.label}"
+        for entity in sorted(self._entities):
+            label = self._label(entity)
+            if label:
+                yield f"{entity}\t{label}"

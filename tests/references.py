@@ -1,7 +1,8 @@
 """Test references kept out of the engine: the brute-force enumeration
 oracle that `enumerate_elfs` is checked against, the two-pass
 vocabulary and IDF table that the store's one-pass entity-text counts
-are checked against, the toy store's text files, and three question
+are checked against, the plain-dict index that the store's columns are
+checked against, the toy store's text files, and three question
 fixtures around known failure modes (disconnected relation, missed
 comparative, out-of-catalog name).
 """
@@ -59,6 +60,38 @@ def completeness_oracle(starts: list[StartPoint], store: TripleStore,
     ordered = sorted(collected.values(),
                      key=lambda f: (relation_count(f), print_canonical(f)))
     return ordered[:cfg.max_candidates]
+
+
+class ReferenceIndex:
+    """A store's triple indexes as plain dicts of tuples, built from
+    `store.triples()` in one pass: `out[subject][relation]` holds the
+    objects and `into[object][relation]` the subjects, each relation
+    keyed at its first triple and each tuple in triple order. Literal
+    objects key `into` by value, as the store's nodes do."""
+
+    def __init__(self, store: TripleStore):
+        self.triples = list(store.triples())
+        out: dict = {}
+        into: dict = {}
+        for s, r, o in self.triples:
+            out.setdefault(s, {}).setdefault(r, []).append(o)
+            into.setdefault(o, {}).setdefault(r, []).append(s)
+        self.out = {s: {r: tuple(leaf) for r, leaf in leaves.items()}
+                    for s, leaves in out.items()}
+        self.into = {o: {r: tuple(leaf) for r, leaf in leaves.items()}
+                     for o, leaves in into.items()}
+        type_relation = store.type_relation
+        self.members: dict[str, set] = {}
+        self.cotypes: dict = {}
+        for s, leaves in self.out.items():
+            types = leaves.get(type_relation, ())
+            classes = {t for t in types if isinstance(t, str)}
+            for t in types:
+                if isinstance(t, str):
+                    self.members.setdefault(t, set()).add(s)
+                self.cotypes.setdefault(t, set()).update(classes)
+        self.entities = set(self.out) | {
+            o for _, r, o in self.triples if r != type_relation and isinstance(o, str)}
 
 
 def two_pass_vocabulary(store: TripleStore, extra_texts=()) -> Vocabulary:

@@ -126,6 +126,13 @@ def _child(script: str) -> str:
     return f'{sys.executable} -u -c "{script}"'
 
 
+def padded_history(scorer, prefix):
+    """An n-gram history as `NgramScorer` once built it: the whole prefix
+    after order-1 begin ids, cut to its last order-1 ids."""
+    history = (scorer.begin_id,) * (scorer.order - 1) + tuple(prefix)
+    return history[len(history) - (scorer.order - 1):] if scorer.order > 1 else ()
+
+
 def dense_reference(scorer, prefix):
     """The row as each scorer built it densely: np.full, then assignment."""
     size = scorer.vocab_size
@@ -133,9 +140,7 @@ def dense_reference(scorer, prefix):
     if isinstance(scorer, UniformScorer):
         return np.full(size, -math.log(size))
     if isinstance(scorer, NgramScorer):
-        history = ((scorer.begin_id,) * (scorer.order - 1) + prefix)
-        history = history[len(history) - (scorer.order - 1):] if scorer.order > 1 else ()
-        counts = scorer._counts.get(history, {})
+        counts = scorer._counts.get(padded_history(scorer, prefix), {})
         denom = sum(counts.values()) + size
         row = np.full(size, -math.log(denom))
         for token, count in counts.items():
@@ -217,6 +222,27 @@ def test_rows_match_dense_reference(vocab):
                     assert hexes([row[token]]) == hexes([dense[token]])
     finally:
         external.close()
+
+
+def test_ngram_reads_only_the_last_ids_of_a_prefix(vocab):
+    """`next_log_probs` looks up the last order-1 ids of the prefix; each
+    prefix of this module, and long ones up to 128 ids, as tuples and as
+    lists, gets the very row of its whole padded history."""
+    size = vocab.size
+    forms = ["(COUNT sf.engine)", "(AND ms.system (JOIN ms.length_units e1))",
+             "(JOIN ms.length_units e1)", "(ARGMIN sf.engine sf.chamber_pressure)"]
+    targets = [tuple(encode_logical_form(vocab, f)) + (vocab.end_id,) for f in forms]
+    rng = np.random.default_rng(5)
+    prefixes = [(), (vocab.id("("),) * 3, (3,), (1, 2), (vocab.begin_id,) * 4]
+    prefixes += [t[:i] for t in targets for i in range(len(t) + 1)]
+    prefixes += [tuple(rng.integers(0, size, n).tolist()) for n in (1, 2, 5, 40, 128)]
+    prefixes += [targets[1][:3] + tuple(rng.integers(0, size, 125).tolist())]
+    for order in (1, 2, 3, 4):
+        scorer = NgramScorer(targets, size, order=order, begin_id=vocab.begin_id)
+        for prefix in prefixes:
+            want = scorer._rows.get(padded_history(scorer, prefix), scorer._unseen)
+            assert scorer.next_log_probs((), prefix) is want
+            assert scorer.next_log_probs((), list(prefix)) is want
 
 
 def test_uniform_rows_are_not_shared():
