@@ -13,8 +13,7 @@ from .pipeline import (AssembledContext, Pipeline, PipelineConfig, Prediction,
                        QAExample, assemble_context, load_dataset)
 from .retrieve import (LexicalScorer, LinkedEntity, Mention, Question,
                        ScoredCandidate, Scorer, detect_mentions, disambiguate,
-                       generate_candidates, rank_elfs, ranker_loss,
-                       retrieve_schema)
+                       rank_elfs, ranker_loss, retrieve_schema)
 from .scorers import NgramScorer, OracleScorer, SparseRow, UniformScorer
 from .sexpr import (FunctionClass, LogicalForm, canonicalize, function_class,
                     parse, print_canonical, relation_count, validate_schema)
@@ -37,7 +36,7 @@ __all__ = [
     "build_trie", "build_vocabulary", "canonicalize", "compile_sparql",
     "detect_mentions", "disambiguate", "encode_logical_form", "enumerate_elfs",
     "evaluate", "evaluate_dataset", "evaluate_sparql_subset", "exact_match",
-    "function_class", "generate_candidates", "hits_at_1",
+    "function_class", "hits_at_1",
     "is_valid_prediction", "load_dataset", "parse", "parse_literal",
     "print_canonical", "rank_elfs", "ranker_loss", "relation_count",
     "render_tokens", "retrieve_schema", "sequence_nll", "validate_schema",

@@ -1,10 +1,13 @@
 """Command-line surface.
 
-Subcommands: ingest, link, enumerate, retrieve-schema, decode, execute,
-compile-sparql, predict, eval. Exit codes: 0 success, 1 usage error,
-2 data error, 3 scorer-protocol error. In `decode` and `predict`, a
-failed link, enumerate, retrieve or decode stage does not end the run:
-it is recorded under `stage_errors` in that question's output line.
+Subcommands: ingest, link, enumerate, retrieve-schema, decode, predict,
+execute, compile-sparql, eval. Each takes only the flags it reads; any
+other flag is a usage error. The retrieval and decoding sizes default
+to the library's, in `PipelineConfig` and `EnumConfig`. Exit codes:
+0 success, 1 usage error, 2 data error, 3 scorer-protocol error. In
+`decode` and `predict`, a failed link, enumerate, retrieve or decode
+stage does not end the run: it is recorded under `stage_errors` in that
+question's output line.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .errors import (DataError, KbqaError, ScorerProtocolError, TokenizeError,
 from .executor import compile_sparql, evaluate, evaluate_sparql_subset
 from .fixtures import toy_store
 from .metrics import evaluate_dataset, render_report, report_to_json
-from .pipeline import (Pipeline, PipelineConfig, Prediction, load_dataset,
-                       load_records, start_points)
+from .pipeline import (Pipeline, PipelineConfig, Prediction, QAExample,
+                       load_dataset, load_records, start_points)
 from .retrieve import (ConstantScorer, ExternalTextScorer, Question, Scorer,
                        TableScorer, build_lexical_scorer, link_question,
                        retrieve_schema)
@@ -55,77 +58,58 @@ def _ranged(kind: type, low: float, high: float = math.inf, above: bool = False)
     return parse
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kb", help="triples file (.tsv/.nt) or ingested store directory")
-    parser.add_argument("--aliases", help="alias TSV file")
-    parser.add_argument("--schema", help="schema TSV file")
-    parser.add_argument("--format", choices=["tsv3", "ntriples"], default=None,
-                        help="triple file format (default: by extension)")
-    parser.add_argument("--type-relation", default="type_rel")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--beam-size", type=_ranged(int, 1), default=10)
-    parser.add_argument("--max-output-tokens", type=_ranged(int, 1), default=128)
-    parser.add_argument("--input-budget", type=_ranged(int, 0), default=1000)
-    parser.add_argument("--top-schema", type=_ranged(int, 0), default=10)
-    parser.add_argument("--top-elf", type=_ranged(int, 0), default=5)
-    parser.add_argument("--hop-limit", type=int, default=2, choices=[1, 2])
-    parser.add_argument("--max-candidates", type=_ranged(int, 0), default=2000)
-    parser.add_argument("--max-mention-len", type=_ranged(int, 1), default=15)
-    constrained = parser.add_mutually_exclusive_group()
-    constrained.add_argument("--constrained", dest="constrained",
-                             action="store_true", default=True)
-    constrained.add_argument("--unconstrained", dest="constrained",
-                             action="store_false")
-    parser.add_argument("--scorer", default="uniform",
-                        help="generation scorer: lexical|uniform|ngram:<path>|"
-                             "oracle:<path>|extern:<cmd>")
-    parser.add_argument("--retrieval-scorer", default="lexical",
-                        help="retrieval scorer: lexical|uniform|oracle:<path>|extern:<cmd>")
-    parser.add_argument("--oracle-eps", type=_ranged(float, 0.0, 1.0), default=0.1)
-    parser.add_argument("--ngram-order", type=_ranged(int, 1), default=3)
-    parser.add_argument("--scorer-timeout", type=_ranged(float, 0.0, above=True),
-                        default=10.0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--dump-context", action="store_true")
-    parser.add_argument("--out", help="output path (default: stdout)")
+_DEFAULT = PipelineConfig()
+
+# Every flag once, in --help order. `_COMMANDS` names the ones each
+# command's handler reads; a command takes no other.
+_FLAGS = {
+    "--kb": dict(help="triples file (.tsv/.nt) or ingested store directory"),
+    "--aliases": dict(help="alias TSV file"),
+    "--schema": dict(help="schema TSV file"),
+    "--format": dict(choices=["tsv3", "ntriples"],
+                     help="triple file format (default: by extension)"),
+    "--type-relation": dict(default="type_rel"),
+    "--seed": dict(type=int, default=0),
+    "--beam-size": dict(type=_ranged(int, 1), default=_DEFAULT.beam_size),
+    "--max-output-tokens": dict(type=_ranged(int, 1), default=_DEFAULT.max_output_tokens),
+    "--input-budget": dict(type=_ranged(int, 0), default=_DEFAULT.input_budget),
+    "--top-schema": dict(type=_ranged(int, 0), default=_DEFAULT.top_schema),
+    "--top-elf": dict(type=_ranged(int, 0), default=_DEFAULT.top_elf),
+    "--hop-limit": dict(type=int, choices=[1, 2], default=_DEFAULT.enum.hop_limit),
+    "--max-candidates": dict(type=_ranged(int, 0), default=_DEFAULT.enum.max_candidates),
+    "--max-mention-len": dict(type=_ranged(int, 1), default=_DEFAULT.max_mention_len),
+    "--constrained": dict(action="store_true", default=_DEFAULT.constrained),
+    "--unconstrained": dict(dest="constrained", action="store_false"),
+    "--scorer": dict(default="uniform", help="generation scorer: lexical|uniform|"
+                     "ngram:<path>|oracle:<path>|extern:<cmd>"),
+    "--retrieval-scorer": dict(default="lexical", help="retrieval scorer: "
+                               "lexical|uniform|oracle:<path>|extern:<cmd>"),
+    "--oracle-eps": dict(type=_ranged(float, 0.0, 1.0), default=0.1),
+    "--ngram-order": dict(type=_ranged(int, 1), default=3),
+    "--scorer-timeout": dict(type=_ranged(float, 0.0, above=True), default=10.0),
+    "--workers": dict(type=int, default=1),
+    "--dump-context": dict(action="store_true"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--strict-aliases": dict(action="store_true"),
+    "--check": dict(action="store_true",
+                    help="also run the subset evaluator and print answers"),
+    "--text": dict(action="store_true", help="aligned-text report"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kbqa", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("ingest", help="load KB files and write a store dump")
-    _common_flags(sub)
-    sub.add_argument("--strict-aliases", action="store_true")
-    sub.add_argument("out_dir", help="directory for the dump")
-
-    for name, help_text in [
-        ("link", "entity linking for a dataset"),
-        ("enumerate", "exemplary logical forms for a dataset"),
-        ("retrieve-schema", "top schema items for a dataset"),
-        ("decode", "beam decoding for a dataset"),
-        ("predict", "end-to-end prediction for a dataset"),
-    ]:
+    for name, (handler, help_text, positionals, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _common_flags(sub)
-        sub.add_argument("dataset", help="dataset JSONL")
-
-    sub = subs.add_parser("execute", help="evaluate a logical form over the KB")
-    _common_flags(sub)
-    sub.add_argument("logical_form")
-
-    sub = subs.add_parser("compile-sparql", help="compile a logical form to SPARQL")
-    _common_flags(sub)
-    sub.add_argument("logical_form")
-    sub.add_argument("--check", action="store_true",
-                     help="also run the subset evaluator and print answers")
-
-    sub = subs.add_parser("eval", help="score predictions against a dataset")
-    _common_flags(sub)
-    sub.add_argument("dataset")
-    sub.add_argument("predictions")
-    sub.add_argument("--text", action="store_true", help="aligned-text report")
-
+        sub.set_defaults(handler=handler)
+        # --constrained and --unconstrained exclude each other
+        either = sub.add_mutually_exclusive_group() if "--constrained" in flags else sub
+        for flag, options in _FLAGS.items():
+            if flag in flags:
+                (either if "constrained" in flag else sub).add_argument(flag, **options)
+        for positional, positional_help in positionals.items():
+            sub.add_argument(positional, help=positional_help)
     return parser
 
 
@@ -243,23 +227,21 @@ def make_token_scorer_factory(args):
     return factory
 
 
-def make_pipeline(args, store: TripleStore,
-                  extra_vocab_texts=()) -> Pipeline:
+def make_pipeline(args, dump_context: bool = False) -> tuple[list[QAExample], Pipeline]:
+    """The dataset's examples and a pipeline over the --kb store whose
+    vocabulary holds their questions."""
+    store = load_store(args)
+    examples = _read(args.dataset, load_dataset)
     cfg = PipelineConfig(
-        beam_size=args.beam_size,
-        max_output_tokens=args.max_output_tokens,
-        input_budget=args.input_budget,
-        top_schema=args.top_schema,
-        top_elf=args.top_elf,
-        constrained=args.constrained,
-        max_mention_len=args.max_mention_len,
-        enum=EnumConfig(hop_limit=args.hop_limit, max_candidates=args.max_candidates),
-        dump_context=args.dump_context,
-    )
-    return Pipeline(store, cfg,
-                    text_scorer=make_text_scorer(args, store),
-                    token_scorer=make_token_scorer_factory(args),
-                    extra_vocab_texts=extra_vocab_texts)
+        beam_size=args.beam_size, max_output_tokens=args.max_output_tokens,
+        input_budget=args.input_budget, top_schema=args.top_schema,
+        top_elf=args.top_elf, constrained=args.constrained,
+        max_mention_len=args.max_mention_len, dump_context=dump_context,
+        enum=EnumConfig(hop_limit=args.hop_limit, max_candidates=args.max_candidates))
+    return examples, Pipeline(store, cfg,
+                              text_scorer=make_text_scorer(args, store),
+                              token_scorer=make_token_scorer_factory(args),
+                              extra_vocab_texts=[e.question for e in examples])
 
 
 def _output(args):
@@ -286,52 +268,50 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_link(args) -> int:
-    store = load_store(args)
-    scorer = make_text_scorer(args, store)
-    out = _output(args)
-    for example in _read(args.dataset, load_dataset):
-        question = Question.of(example.question)
-        for link in link_question(question, store, scorer, args.max_mention_len):
-            out.write(json.dumps(link.to_json(example.qid)) + "\n")
-    return 0
+def _each_question(lines):
+    """A command that writes the lines of `lines(args, store, scorer,
+    qid, question)` for each dataset question, with the retrieval
+    scorer."""
+    def command(args) -> int:
+        store = load_store(args)
+        scorer = make_text_scorer(args, store)
+        out = _output(args)
+        for example in _read(args.dataset, load_dataset):
+            for line in lines(args, store, scorer, example.qid,
+                              Question.of(example.question)):
+                out.write(line + "\n")
+        return 0
+    return command
 
 
-def cmd_enumerate(args) -> int:
-    store = load_store(args)
-    scorer = make_text_scorer(args, store)
+@_each_question
+def cmd_link(args, store, scorer, qid, question):
+    for link in link_question(question, store, scorer, args.max_mention_len):
+        yield json.dumps(link.to_json(qid))
+
+
+@_each_question
+def cmd_enumerate(args, store, scorer, qid, question):
     cfg = EnumConfig(hop_limit=args.hop_limit, max_candidates=args.max_candidates)
-    out = _output(args)
-    for example in _read(args.dataset, load_dataset):
-        question = Question.of(example.question)
-        links = link_question(question, store, scorer, args.max_mention_len)
-        for lf in enumerate_elfs(start_points(question, links), store, cfg):
-            answer = evaluate(lf, store)
-            size = answer.number if answer.kind == "number" else len(answer.entities)
-            out.write(f"{example.qid}\t{print_canonical(lf)}\t{size}\n")
-    return 0
+    links = link_question(question, store, scorer, args.max_mention_len)
+    for lf in enumerate_elfs(start_points(question, links), store, cfg):
+        answer = evaluate(lf, store)
+        size = answer.number if answer.kind == "number" else len(answer.entities)
+        yield f"{qid}\t{print_canonical(lf)}\t{size}"
 
 
-def cmd_retrieve_schema(args) -> int:
-    store = load_store(args)
-    scorer = make_text_scorer(args, store)
-    out = _output(args)
-    for example in _read(args.dataset, load_dataset):
-        question = Question.of(example.question)
-        classes, relations = retrieve_schema(question, store, scorer, args.top_schema)
-        out.write(json.dumps({
-            "qid": example.qid,
-            "classes": [{"name": c.text(), "score": c.score} for c in classes],
-            "relations": [{"name": r.text(), "score": r.score} for r in relations],
-        }) + "\n")
-    return 0
+@_each_question
+def cmd_retrieve_schema(args, store, scorer, qid, question):
+    classes, relations = retrieve_schema(question, store, scorer, args.top_schema)
+    yield json.dumps({
+        "qid": qid,
+        "classes": [{"name": c.text(), "score": c.score} for c in classes],
+        "relations": [{"name": r.text(), "score": r.score} for r in relations],
+    })
 
 
 def cmd_decode(args) -> int:
-    store = load_store(args)
-    examples = _read(args.dataset, load_dataset)
-    pipe = make_pipeline(args, store,
-                         extra_vocab_texts=[e.question for e in examples])
+    examples, pipe = make_pipeline(args)
     out = _output(args)
     for example in examples:
         prepared = pipe.prepare(example.question)
@@ -362,14 +342,12 @@ def cmd_execute(args) -> int:
 
 def cmd_compile_sparql(args) -> int:
     lf = parse(args.logical_form)
-    type_relation = args.type_relation
-    if args.kb:
-        store = load_store(args)
-        type_relation = store.type_relation
-    query = compile_sparql(lf, type_relation=type_relation)
+    store = load_store(args) if args.kb else None
+    query = compile_sparql(lf, type_relation=args.type_relation if store is None
+                           else store.type_relation)
     print(query.text)
     if args.check:
-        if not args.kb:
+        if store is None:
             raise UsageError("--check needs --kb")
         answer = evaluate_sparql_subset(query, store)
         print(json.dumps({"shape": query.shape, "answers": answer.strings()}))
@@ -377,10 +355,7 @@ def cmd_compile_sparql(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    store = load_store(args)
-    examples = _read(args.dataset, load_dataset)
-    pipe = make_pipeline(args, store,
-                         extra_vocab_texts=[e.question for e in examples])
+    examples, pipe = make_pipeline(args, dump_context=args.dump_context)
     predictions = pipe.predict_batch(examples, workers=args.workers)
     out = _output(args)
     for prediction in predictions:
@@ -399,16 +374,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_STORE_FLAGS = ("--kb", "--aliases", "--schema", "--format", "--type-relation")
+_RETRIEVAL_FLAGS = (*_STORE_FLAGS, "--retrieval-scorer", "--scorer-timeout", "--out")
+_DECODE_FLAGS = (*_RETRIEVAL_FLAGS, "--seed", "--beam-size", "--max-output-tokens",
+                 "--input-budget", "--top-schema", "--top-elf", "--hop-limit",
+                 "--max-candidates", "--max-mention-len", "--constrained",
+                 "--unconstrained", "--scorer", "--oracle-eps", "--ngram-order")
+_DATASET = {"dataset": "dataset JSONL"}
+_FORM = {"logical_form": "an s-expression logical form"}
+
+# name: (handler, help, positional arguments with their help, flags)
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "link": cmd_link,
-    "enumerate": cmd_enumerate,
-    "retrieve-schema": cmd_retrieve_schema,
-    "decode": cmd_decode,
-    "execute": cmd_execute,
-    "compile-sparql": cmd_compile_sparql,
-    "predict": cmd_predict,
-    "eval": cmd_eval,
+    "ingest": (cmd_ingest, "load KB files and write a store dump",
+               {"out_dir": "directory for the dump"}, (*_STORE_FLAGS, "--strict-aliases")),
+    "link": (cmd_link, "entity linking for a dataset", _DATASET,
+             (*_RETRIEVAL_FLAGS, "--max-mention-len")),
+    "enumerate": (cmd_enumerate, "exemplary logical forms for a dataset", _DATASET,
+                  (*_RETRIEVAL_FLAGS, "--max-mention-len", "--hop-limit",
+                   "--max-candidates")),
+    "retrieve-schema": (cmd_retrieve_schema, "top schema items for a dataset", _DATASET,
+                        (*_RETRIEVAL_FLAGS, "--top-schema")),
+    "decode": (cmd_decode, "beam decoding for a dataset", _DATASET, _DECODE_FLAGS),
+    "predict": (cmd_predict, "end-to-end prediction for a dataset", _DATASET,
+                (*_DECODE_FLAGS, "--workers", "--dump-context")),
+    "execute": (cmd_execute, "evaluate a logical form over the KB", _FORM, _STORE_FLAGS),
+    "compile-sparql": (cmd_compile_sparql, "compile a logical form to SPARQL", _FORM,
+                       (*_STORE_FLAGS, "--check")),
+    "eval": (cmd_eval, "score predictions against a dataset",
+             {**_DATASET, "predictions": "prediction JSONL"}, ("--seed", "--out", "--text")),
 }
 
 
@@ -418,17 +411,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         # External scorers' child processes end with the command.
         with ExitStack() as args.closers:
-            return _COMMANDS[args.command](args)
+            return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ScorerProtocolError as exc:
         print(f"scorer protocol error: {exc}", file=sys.stderr)
         return 3
-    except KbqaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (KbqaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

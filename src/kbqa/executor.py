@@ -481,18 +481,18 @@ def _match_pattern(store: TripleStore, rows: list[dict], subject, relation, obj)
         if s_val is not None and o_val is not None:
             if not isinstance(s_val, str):
                 continue
-            if o_val in store.objects_of(s_val, relation):
+            if o_val in store.out_edges(s_val).get(relation, ()):
                 out.append(row)
         elif s_val is not None:
             if not isinstance(s_val, str):
                 continue
-            for candidate in sorted(store.objects_of(s_val, relation),
+            for candidate in sorted(set(store.out_edges(s_val).get(relation, ())),
                                     key=lambda x: repr(x)):
                 new_row = dict(row)
                 new_row[obj[1]] = candidate
                 out.append(new_row)
         elif o_val is not None:
-            for candidate in sorted(store.subjects_of(o_val, relation)):
+            for candidate in sorted(set(store.in_edges(o_val).get(relation, ()))):
                 new_row = dict(row)
                 new_row[subject[1]] = candidate
                 out.append(new_row)

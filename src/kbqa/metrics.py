@@ -15,8 +15,8 @@ from typing import Optional, Sequence, Union
 from .errors import SexprParseError
 from .executor import AnswerSet
 from .pipeline import Prediction, QAExample
-from .sexpr import (LogicalForm, canonicalize, function_class, parse,
-                    print_canonical, relation_count)
+from .sexpr import (LogicalForm, function_class, parse, print_canonical,
+                    relation_count)
 
 FormLike = Union[str, LogicalForm, None]
 
@@ -29,7 +29,7 @@ def _canonical(form: FormLike) -> Optional[str]:
             form = parse(form)
         except SexprParseError:
             return None
-    return print_canonical(canonicalize(form))
+    return print_canonical(form)
 
 
 def exact_match(pred_lf: FormLike, gold_lf: FormLike) -> bool:

@@ -24,7 +24,7 @@ from .retrieve import (LinkedEntity, Question, ScoredCandidate, Scorer,
                        build_lexical_scorer, link_question, rank_elfs,
                        retrieve_schema)
 from .scorers import UniformScorer
-from .sexpr import canonicalize, parse, print_canonical
+from .sexpr import parse, print_canonical
 from .store import NUMBER_RE, LiteralValue, TripleStore, read_rows
 from .trie import SchemaTrie, build_trie
 from .vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, Vocabulary,
@@ -365,7 +365,7 @@ class Pipeline:
         provenance, beam_rank = "none", None
         for form, source, rank in candidates:
             if is_valid_prediction(form, self.store):
-                parsed = canonicalize(parse(form) if isinstance(form, str) else form)
+                parsed = parse(form) if isinstance(form, str) else form
                 chosen_form = print_canonical(parsed)
                 answers = tuple(evaluate(parsed, self.store).strings())
                 provenance, beam_rank = source, rank

@@ -238,11 +238,6 @@ def detect_mentions(question: Question, store: TripleStore,
     return chosen
 
 
-def generate_candidates(mention: Mention, store: TripleStore) -> list[tuple[str, float]]:
-    """Alias-index lookup, already popularity-descending."""
-    return store.alias_lookup(mention.surface)
-
-
 def entity_context_text(store: TripleStore, entity: str) -> str:
     """Disambiguation context: the label followed by the linked
     relation names."""
@@ -271,7 +266,7 @@ def link_question(question: Question, store: TripleStore, scorer: Scorer,
                   max_mention_len: int = 15) -> list[LinkedEntity]:
     links = []
     for mention in detect_mentions(question, store, max_mention_len):
-        candidates = generate_candidates(mention, store)
+        candidates = store.alias_lookup(mention.surface)
         if candidates:
             links.append(disambiguate(question, mention, candidates, store, scorer))
     return links

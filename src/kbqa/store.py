@@ -709,12 +709,6 @@ class TripleStore:
         view = self._in.views.get(obj)
         return self._in.build(obj) if view is None else view
 
-    def objects_of(self, subject: str, relation: str) -> set:
-        return set(self.out_edges(subject).get(relation, ()))
-
-    def subjects_of(self, obj: Object, relation: str) -> set[str]:
-        return set(self.in_edges(obj).get(relation, ()))
-
     def relation_triples(self, relation: str) -> list[Triple]:
         """The relation's triples in row order; built on first use and
         memoised like the edge views."""
@@ -744,6 +738,8 @@ class TripleStore:
     # -- entity metadata ---------------------------------------------------
 
     def alias_lookup(self, surface: str) -> list[tuple[str, float]]:
+        """The candidate entities of a mention's surface, case-folded:
+        (entity, popularity), popularity descending, ties by entity id."""
         return list(self._alias_index.get(fold_surface(surface), ()))
 
     def _label(self, entity: str) -> str:

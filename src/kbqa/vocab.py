@@ -20,8 +20,8 @@ import re
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import TokenizeError
-from .sexpr import (And, ArgMax, ArgMin, ClassRef, Compare, Count, EntityRef,
-                    Join, LiteralRef, LogicalForm, Reverse, parse)
+from .sexpr import (OPERATORS, And, ArgMax, ArgMin, ClassRef, Compare, Count,
+                    EntityRef, Join, LiteralRef, LogicalForm, Reverse, parse)
 from .store import LiteralValue, TripleStore, text_words
 
 BEGIN = "<s>"
@@ -34,8 +34,6 @@ COMMA = ","
 
 SPECIALS = (BEGIN, END, UNK, SECTION_ENTITIES, SECTION_ELFS, SECTION_SCHEMA, COMMA)
 STRUCTURAL = ("(", ")")
-OPERATOR_TOKENS = ("AND", "JOIN", "R", "COUNT", "ARGMIN", "ARGMAX",
-                   "lt", "le", "gt", "ge")
 SEPARATORS = (".", "_", "^^")
 DIGITS = tuple("0123456789")
 TYPE_TAGS = ("float", "integer")
@@ -51,7 +49,7 @@ class Vocabulary:
         self._tok_to_id: dict[str, int] = {}
         self._id_to_tok: list[str] = []
         self.frozen = False
-        for token in SPECIALS + STRUCTURAL + OPERATOR_TOKENS + SEPARATORS + DIGITS + TYPE_TAGS:
+        for token in SPECIALS + STRUCTURAL + OPERATORS + SEPARATORS + DIGITS + TYPE_TAGS:
             self.add(token)
 
     def add(self, token: str) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from kbqa.cli import load_store, main
+from kbqa.fixtures import toy_store
 
 from references import toy_aliases_tsv, toy_triples_tsv
 
@@ -181,6 +183,55 @@ def test_exit_codes(kb_files, tmp_path, capsys):
         assert str(table) in capsys.readouterr().err
 
 
+# The flags each command's handler reads, and no other: 95 in all.
+_STORE = "--kb --aliases --schema --format --type-relation "
+_QUESTIONS = _STORE + "--retrieval-scorer --scorer-timeout --out "
+_DECODE = _QUESTIONS + ("--seed --beam-size --max-output-tokens --input-budget "
+                        "--top-schema --top-elf --hop-limit --max-candidates "
+                        "--max-mention-len --constrained --unconstrained --scorer "
+                        "--oracle-eps --ngram-order")
+COMMAND_FLAGS = {
+    "ingest": _STORE + "--strict-aliases",
+    "link": _QUESTIONS + "--max-mention-len",
+    "enumerate": _QUESTIONS + "--max-mention-len --hop-limit --max-candidates",
+    "retrieve-schema": _QUESTIONS + "--top-schema",
+    "decode": _DECODE,
+    "predict": _DECODE + " --workers --dump-context",
+    "execute": _STORE,
+    "compile-sparql": _STORE + "--check",
+    "eval": "--seed --out --text",
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_the_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(listed) == sorted(COMMAND_FLAGS[command].split())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--kb", "kb", "data.jsonl", "preds.jsonl"], "--kb"),
+    (["execute", "--kb", "toy:", "--out", "F", "(COUNT sf.engine)"], "--out"),
+    (["compile-sparql", "--out", "F", "(COUNT sf.engine)"], "--out"),
+    (["ingest", "--kb", "toy:", "--out", "F", "store"], "--out"),
+    (["link", "--kb", "toy:", "--beam-size", "3", "data.jsonl"], "--beam-size"),
+    (["retrieve-schema", "--kb", "toy:", "--top-elf=2", "data.jsonl"], "--top-elf"),
+    (["decode", "--kb", "toy:", "--dump-context", "data.jsonl"], "--dump-context"),
+])
+def test_flag_of_another_command_is_a_usage_error(argv, flag, tmp_path, monkeypatch,
+                                                   capsys):
+    """A flag that the command would ignore exits 1 naming the flag,
+    before the command reads or writes anything."""
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, bad, edge", [
     ("--beam-size", "0", "1"),
     ("--max-candidates", "-1", "0"),
@@ -301,13 +352,22 @@ BOM = b"\xef\xbb\xbf"
 
 def test_byte_order_mark_does_not_split_an_entity(tmp_path):
     """A store file that starts with a UTF-8 byte-order mark loads its
-    first subject as the same entity as the later lines name."""
+    first subject as the same entity as the later lines name. Like
+    benchmarks/run.py, this calls `load_store` with only `kb` and
+    `type_relation`, which is enough for a store directory."""
     store_dir = tmp_path / "store"
     store_dir.mkdir()
     (store_dir / "triples.tsv").write_bytes(BOM + b"e1\tr.x\te2\ne1\ttype_rel\tc.a\n")
     store = load_store(SimpleNamespace(kb=str(store_dir), type_relation="type_rel"))
     assert sorted(store.all_entities()) == ["e1", "e2"]
     assert store.instances_of("c.a") == {"e1"}
+
+    assert run(["ingest", "--kb", "toy:", str(tmp_path / "toy")]) == 0
+    store = load_store(SimpleNamespace(kb=str(tmp_path / "toy"), type_relation="other"))
+    toy = toy_store()
+    assert store.type_relation == toy.type_relation  # meta.json wins
+    assert list(store.dump_triples_tsv()) == list(toy.dump_triples_tsv())
+    assert list(store.dump_aliases_tsv()) == list(toy.dump_aliases_tsv())
 
 
 def test_byte_order_mark_dataset_and_score_table_load(kb_files, dataset, tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_argmin_subset_of_subexpression_attains_minimum(toy):
     assert answer.entities <= members
     values = {}
     for e in members:
-        vals = toy.objects_of(e, "sf.chamber_pressure")
+        vals = toy.out_edges(e).get("sf.chamber_pressure", ())
         if vals:
             values[e] = min(float(v.value) for v in vals)
     global_min = min(values.values())

@@ -12,9 +12,8 @@ import kbqa
 from kbqa.errors import NoCandidateError, ScorerProtocolError
 from kbqa.retrieve import (ConstantScorer, ExternalTextScorer, LexicalScorer,
                            Mention, Question, TableScorer, detect_mentions,
-                           disambiguate, entity_context_text,
-                           generate_candidates, link_question, rank_elfs,
-                           ranker_loss, retrieve_schema)
+                           disambiguate, entity_context_text, link_question,
+                           rank_elfs, ranker_loss, retrieve_schema)
 from kbqa.sexpr import parse, print_canonical
 from kbqa.store import StoreBuilder, text_words
 
@@ -57,18 +56,13 @@ def test_mention_length_cap():
         == ["a b c"]
 
 
-def test_generate_candidates(toy):
-    mention = Mention(0, 1, "decimetre")
-    assert generate_candidates(mention, toy) == [("e1", 0.9)]
-
-
 def test_candidates_sorted_by_popularity():
     builder = StoreBuilder()
     for e, pop in (("a", 0.1), ("b", 0.9), ("c", 0.5)):
         builder.add_triple(e, "r", "x")
         builder.add_alias("thing", e, pop)
     store = builder.freeze()
-    cands = generate_candidates(Mention(0, 1, "thing"), store)
+    cands = store.alias_lookup("thing")
     assert cands == [("b", 0.9), ("c", 0.5), ("a", 0.1)]
 
 
@@ -93,7 +87,7 @@ def test_disambiguate_prefers_relation_overlap():
     store = builder.freeze()
     q = Question.of("what are the length units of the metric system")
     link = disambiguate(q, Mention(6, 7, "metric"),
-                        generate_candidates(Mention(6, 7, "metric"), store),
+                        store.alias_lookup("metric"),
                         store, LexicalScorer())
     assert link.entity == "sys_a"  # relations mention length units
 
@@ -107,7 +101,7 @@ def test_disambiguate_oracle_overrides_popularity(toy):
     store = builder.freeze()
     oracle = TableScorer({entity_context_text(store, "x"): 5.0})
     link = disambiguate(Question.of("q"), Mention(0, 1, "amb"),
-                        generate_candidates(Mention(0, 1, "amb"), store),
+                        store.alias_lookup("amb"),
                         store, oracle)
     assert link.entity == "x"
 
@@ -119,7 +113,7 @@ def test_disambiguate_tie_breaks_popularity_then_id():
         builder.add_alias("amb", e, pop)
     store = builder.freeze()
     link = disambiguate(Question.of("q"), Mention(0, 1, "amb"),
-                        generate_candidates(Mention(0, 1, "amb"), store),
+                        store.alias_lookup("amb"),
                         store, ConstantScorer())
     assert link.entity == "cc"  # all scores equal -> highest popularity
     # drop cc: equal popularity -> lexicographic id

@@ -125,6 +125,8 @@ def test_round_trip_random_asts():
         printed = print_canonical(ast)
         reparsed = parse(printed)
         assert print_canonical(reparsed) == printed
+        # the print already sorts AND's arguments: EM and predict skip canonicalize
+        assert print_canonical(canonicalize(ast)) == printed
         assert canonicalize(reparsed) == canonicalize(canonicalize(reparsed))
 
 

@@ -93,7 +93,7 @@ def test_neighbors_out_fixture(toy):
 
 def test_neighbors_in_fixture(toy):
     assert in_pairs(toy, "e1") == {("ms.length_units", "sys1")}
-    assert toy.subjects_of("o", "absent_relation") == set()
+    assert toy.in_edges("o").get("absent_relation", ()) == ()
 
 
 def test_neighbors_in_literal_start_point():
@@ -368,6 +368,7 @@ def test_literal_identity_promotes_numeric_kinds():
 def test_entity_label_and_meta(toy):
     assert toy.entity_label("e1") == "decimetre"
     assert toy.alias_lookup("lox") == [("ox1", 0.7)]
+    assert toy.alias_lookup("decimetre") == [("e1", 0.9)]
     assert toy.entity_label("nonexistent") == "nonexistent"
 
 

@@ -52,6 +52,18 @@ def test_vocabulary_dense_ids(toy):
     assert "e1" in vocab and "eng1" in vocab
 
 
+# The ids every vocabulary starts with, in order: external scorers are
+# written against them, so none may move.
+FIXED_TOKENS = ("<s> </s> <unk> <entities> <elfs> <schema> , ( ) "
+                "AND JOIN R COUNT ARGMIN ARGMAX lt le gt ge . _ ^^ "
+                "0 1 2 3 4 5 6 7 8 9 float integer").split()
+
+
+def test_fixed_token_ids_do_not_move(toy):
+    vocab = build_vocabulary(toy)
+    assert vocab.tokens(range(len(FIXED_TOKENS))) == FIXED_TOKENS
+
+
 def test_vocabulary_freeze_and_unk(toy):
     vocab = build_vocabulary(toy)
     with pytest.raises(TokenizeError):
