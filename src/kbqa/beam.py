@@ -32,7 +32,12 @@ class TokenScorer(Protocol):
     """`next_log_probs` returns a row of vocabulary width: anything
     `np.asarray` turns into floats, or a `SparseRow`, which the beam
     reads without densifying. It is called once per live hypothesis per
-    step, and `reentrant = False` serialises calls across threads."""
+    step, and `reentrant = False` serialises calls across threads.
+
+    Every value is a log-probability, at most 0 (-inf allowed): the exact
+    early stop of `beam_search` assumes that a path's score never rises.
+    `ExternalTokenScorer` rejects a row with a value above 0 or a NaN;
+    in-process scorers are trusted, and their rows are not checked."""
 
     reentrant: bool
 

@@ -42,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _NotTaken(argparse.Action):
+    """A flag of another command; it takes its value as it would there."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise UsageError(f"{parser.prog} does not take {option_string}")
+
+
 def _ranged(kind: type, low: float, high: float = math.inf, above: bool = False):
     """An argparse type for a `kind` number x with low <= x < high, or
     low < x < high when `above`; a value out of range is a usage error
@@ -87,7 +94,7 @@ _FLAGS = {
     "--oracle-eps": dict(type=_ranged(float, 0.0, 1.0), default=0.1),
     "--ngram-order": dict(type=_ranged(int, 1), default=3),
     "--scorer-timeout": dict(type=_ranged(float, 0.0, above=True), default=10.0),
-    "--workers": dict(type=int, default=1),
+    "--workers": dict(type=_ranged(int, 1), default=1),
     "--dump-context": dict(action="store_true"),
     "--out": dict(help="output path (default: stdout)"),
     "--strict-aliases": dict(action="store_true"),
@@ -108,6 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in _FLAGS.items():
             if flag in flags:
                 (either if "constrained" in flag else sub).add_argument(flag, **options)
+            else:
+                sub.add_argument(flag, action=_NotTaken, default=argparse.SUPPRESS,
+                                 nargs=0 if "action" in options else None,
+                                 help=argparse.SUPPRESS)
         for positional, positional_help in positionals.items():
             sub.add_argument(positional, help=positional_help)
     return parser
@@ -166,11 +177,12 @@ def load_store(args) -> TripleStore:
         return builder.freeze()
     if not path.exists():
         raise DataError(f"no such KB file: {path}")
-    fmt = args.format or ("ntriples" if path.suffix == ".nt" else "tsv3")
+    # A namespace without a file flag's attribute did not give that file.
+    fmt = getattr(args, "format", None) or ("ntriples" if path.suffix == ".nt" else "tsv3")
     _read(path, builder.load_triples, fmt=fmt)
-    if args.schema:
+    if getattr(args, "schema", None):
         _read(args.schema, builder.load_schema)
-    if args.aliases:
+    if getattr(args, "aliases", None):
         _read(args.aliases, builder.load_aliases,
               strict=getattr(args, "strict_aliases", False))
     return builder.freeze()

@@ -255,7 +255,8 @@ class ExternalTokenScorer:
     """Child-process token scorer.
 
     Request:  NEXT \\t <context ids comma-joined> \\t <prefix ids comma-joined>
-    Response: one line of vocab-size space-separated log-probs.
+    Response: one line of vocab-size space-separated log-probs, each at
+    most 0 (-inf allowed); a value above 0 or a NaN is a protocol error.
     """
 
     reentrant = False
@@ -275,6 +276,11 @@ class ExternalTokenScorer:
         if row.shape != (self.vocab_size,):
             raise ScorerProtocolError(
                 f"expected {self.vocab_size} log-probs, got {row.shape[0]}")
+        # The beam's early stop needs rows <= 0; a NaN is not <= 0 either.
+        above = np.flatnonzero(~(row <= 0.0))
+        if above.size:
+            raise ScorerProtocolError(
+                f"log-probs must be at most 0, got {float(row[above[0]])} at id {above[0]}")
         return row
 
     def close(self) -> None:

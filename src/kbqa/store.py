@@ -1,10 +1,11 @@
 """Immutable, indexed in-memory knowledge base.
 
 A store holds (subject, relation, object) triples, a schema catalog of
-classes and relations, per-entity metadata (label, aliases), and an
-alias index ranked by popularity. Ingestion goes through :class:`StoreBuilder`; `freeze()`
-produces a :class:`TripleStore` that is read-only and safe to share
-across threads.
+classes and relations, a label map, in which an entity without a label
+has its first alias, and an alias index from each folded surface to a
+tuple of (entity, popularity) entries, by popularity. Ingestion goes
+through :class:`StoreBuilder`; `freeze()` produces a
+:class:`TripleStore` that is read-only and safe to share across threads.
 
 Objects are either entity-id strings or :class:`LiteralValue`. Literal
 identity (for indexing, deduplication, and equality) is by promoted
@@ -189,12 +190,6 @@ class Triple(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class EntityMeta:
-    label: str = ""
-    aliases: tuple[str, ...] = ()
-
-
 _WORD_RE = re.compile(r"[a-z]+|\d+(?:\.\d+)?")
 
 
@@ -259,13 +254,6 @@ def read_rows(lines: Iterable[str], source: Optional[str],
 
 
 _split_tabs = operator.methodcaller("split", "\t")
-
-
-def _tab_fields(line: str, count: int = 3) -> list[str]:
-    parts = line.split("\t")
-    if len(parts) != count:
-        raise DataError(f"expected {count} tab-separated fields, got {len(parts)}")
-    return parts
 
 
 def _ntriples_fields(line: str) -> tuple[str, str, str]:
@@ -464,7 +452,10 @@ class StoreBuilder:
             known.update(self._labels)
 
         def parse_row(line: str) -> None:
-            alias, entity, pop_text = _tab_fields(line)
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise DataError(f"expected 3 tab-separated fields, got {len(fields)}")
+            alias, entity, pop_text = fields
             try:
                 popularity = float(pop_text)
             except ValueError:
@@ -580,7 +571,6 @@ class TripleStore:
         self._in = _Edges(self._ids, rows.node, rows.r, rows.s, terms, names)
         self._relation_triples: dict[str, tuple[Triple, ...]] = {}
         entities = builder._entity_terms(rows)
-        entities.update(builder._labels)
 
         # A type row's string object is a class, whose members are the
         # subjects of its type rows.
@@ -602,61 +592,56 @@ class TripleStore:
             for o in types:
                 cotypes.setdefault(o, set()).update(classes)
 
-        # Each raw alias is folded once. Its surface keys the alias index,
-        # and, split at the spaces, gives its words for the counts below.
-        alias_index: dict[str, list[tuple[str, float]]] = {}
-        alias_lists: dict[str, list[str]] = {}
+        # Entity text, in one pass over the alias rows; each raw text is
+        # folded once. The entity-text documents, counted by surface, are
+        # each label and each distinct (entity, alias) row, so that a label
+        # taken from an alias is two documents.
         folded: dict[str, str] = {}
-        for alias, entity, popularity in builder._alias_rows:
-            surface = folded.get(alias)
-            if surface is None:
-                surface = folded[alias] = fold_surface(alias)
-            entries = alias_index.get(surface)
-            if entries is None:
-                alias_index[surface] = [(entity, popularity)]
-            else:
-                entries.append((entity, popularity))
-            aliases = alias_lists.get(entity)
-            if aliases is None:
-                alias_lists[entity] = [alias]
-            else:
-                aliases.append(alias)
-        entities.update(alias_lists)
-        for entries in alias_index.values():
-            if len(entries) > 1:
-                # popularity descending, ties by entity id for determinism
-                entries.sort(key=lambda row: (-row[1], row[0]))
-        for entity, aliases in alias_lists.items():
-            if len(aliases) > 1:
-                alias_lists[entity] = list(dict.fromkeys(aliases))
-        labels = dict(builder._labels)
 
-        # The entity-text documents: each entity's label (see `_label`),
-        # when it has one, and each of its distinct aliases, so that a
-        # label taken from the first alias is two documents. A document's
-        # words are its folded surface split at the spaces, and documents
-        # with the same surface are counted together.
-        surfaces: list[str] = []
-        for label in labels.values():
-            if label:
-                surface = folded.get(label)
-                surfaces.append(fold_surface(label) if surface is None else surface)
-        for entity, aliases in alias_lists.items():
-            if aliases[0] and not labels.get(entity):
-                surfaces.append(folded[aliases[0]])
-            surfaces.extend(map(folded.__getitem__, aliases))
+        def fold(text: str) -> str:
+            surface = folded.get(text)
+            if surface is None:
+                surface = folded[text] = fold_surface(text)
+            return surface
+
+        labels = {entity: label for entity, label in builder._labels.items() if label}
+        documents = Counter(map(fold, labels.values()))
+        # folded surface -> its alias rows, then the entries of the index
+        alias_index: dict[str, list | tuple] = {}
+        for row in builder._alias_rows:
+            alias, entity, _ = row
+            surface = fold(alias)
+            group = alias_index.get(surface)
+            if group is None:
+                alias_index[surface] = [row]
+            else:
+                group.append(row)
+            if entity not in labels:
+                labels[entity] = alias
+                if alias:
+                    documents[surface] += 1
+        entities.update(builder._labels, labels)
+        for surface, group in alias_index.items():
+            if len(group) == 1:
+                alias_index[surface] = (group[0][1:],)  # (entity, popularity)
+                documents[surface] += 1
+            else:
+                # popularity descending, ties by entity id for determinism
+                alias_index[surface] = tuple(sorted(
+                    [row[1:] for row in group], key=lambda entry: (-entry[1], entry[0])))
+                documents[surface] += len({row[:2] for row in group})
+        # A document's words are its folded surface split at the spaces.
         word_counts: dict[str, int] = {}
-        for surface, count in Counter(surfaces).items():
+        for surface, count in documents.items():
             for word in set(surface.split()):
                 word_counts[word] = word_counts.get(word, 0) + count
 
         self._class_members = class_members
         self._cotypes = {o: frozenset(c) for o, c in cotypes.items()}
         self._entities = frozenset(entities)
-        self._alias_index = alias_index
+        self._alias_index: dict[str, tuple[tuple[str, float], ...]] = alias_index
         self._labels = labels
-        self._aliases = alias_lists
-        self._entity_documents = len(surfaces)
+        self._entity_documents = documents.total()
         self._entity_word_counts: Mapping[str, int] = MappingProxyType(word_counts)
 
     # -- basic accessors -------------------------------------------------
@@ -742,16 +727,9 @@ class TripleStore:
         (entity, popularity), popularity descending, ties by entity id."""
         return list(self._alias_index.get(fold_surface(surface), ()))
 
-    def _label(self, entity: str) -> str:
-        """The entity's label, else its first alias, else ""."""
-        aliases = self._aliases.get(entity)
-        return self._labels.get(entity) or (aliases[0] if aliases else "")
-
     def entity_label(self, entity: str) -> str:
-        return self._label(entity) or entity
-
-    def entity_meta(self, entity: str) -> EntityMeta:
-        return EntityMeta(self._label(entity), tuple(self._aliases.get(entity, ())))
+        """The entity's label, else its first alias, else its id."""
+        return self._labels.get(entity) or entity
 
     def entity_text_counts(self) -> tuple[int, Mapping[str, int]]:
         """The number of entity-text documents, and a read-only map from
@@ -776,15 +754,12 @@ class TripleStore:
             ])
 
     def dump_aliases_tsv(self) -> Iterator[str]:
-        rows = []
-        for folded, entries in self._alias_index.items():
-            for entity, popularity in entries:
-                rows.append((folded, entity, popularity))
-        for alias, entity, popularity in sorted(rows):
-            yield f"{alias}\t{entity}\t{popularity!r}"
+        for surface, entity, popularity in sorted(
+                (surface, entity, popularity) for surface, entries in self._alias_index.items()
+                for entity, popularity in entries):
+            yield f"{surface}\t{entity}\t{popularity!r}"
 
     def dump_labels_tsv(self) -> Iterator[str]:
-        for entity in sorted(self._entities):
-            label = self._label(entity)
+        for entity, label in sorted(self._labels.items()):
             if label:
                 yield f"{entity}\t{label}"

@@ -1,16 +1,19 @@
 """Test references kept out of the engine: the brute-force enumeration
 oracle that `enumerate_elfs` is checked against, the two-pass
 vocabulary and IDF table that the store's one-pass entity-text counts
-are checked against, the plain-dict index that the store's columns are
-checked against, the toy store's text files, and three question
-fixtures around known failure modes (disconnected relation, missed
-comparative, out-of-catalog name).
+are checked against, read from the raw entity text a builder was given,
+the plain-dict index that the store's columns are checked against, the
+toy store's text files, and three question fixtures around known
+failure modes (disconnected relation, missed comparative,
+out-of-catalog name).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from kbqa.enumerator import EnumConfig, StartPoint
 from kbqa.executor import evaluate
@@ -94,9 +97,54 @@ class ReferenceIndex:
             o for _, r, o in self.triples if r != type_relation and isinstance(o, str)}
 
 
-def two_pass_vocabulary(store: TripleStore, extra_texts=()) -> Vocabulary:
+@dataclass
+class EntityText:
+    """Entity text as a `StoreBuilder` was given it: the labels by
+    entity, and the (alias, entity, popularity) rows in order."""
+    labels: dict[str, str] = field(default_factory=dict)
+    aliases: list[tuple[str, str, float]] = field(default_factory=list)
+
+    def by_entity(self) -> dict[str, tuple[str, list[str]]]:
+        """Each entity that has a label or an alias: its label, else its
+        first alias, else "", and its distinct aliases in order."""
+        aliases: dict[str, list[str]] = {}
+        for alias, entity, _ in self.aliases:
+            aliases.setdefault(entity, []).append(alias)
+        texts = {}
+        for entity in sorted({*self.labels, *aliases}):
+            distinct = list(dict.fromkeys(aliases.get(entity, ())))
+            label = self.labels.get(entity) or (distinct[0] if distinct else "")
+            texts[entity] = (label, distinct)
+        return texts
+
+
+@contextmanager
+def recording_entity_text() -> Iterator[EntityText]:
+    """Record the labels and alias rows that the store builders inside
+    the block are given."""
+    text = EntityText()
+    set_label, add_alias = StoreBuilder.set_entity_label, StoreBuilder.add_alias
+
+    def record_label(self, entity, label):
+        text.labels[entity] = label
+        set_label(self, entity, label)
+
+    def record_alias(self, alias, entity, popularity):
+        text.aliases.append((alias, entity, popularity))
+        add_alias(self, alias, entity, popularity)
+
+    StoreBuilder.set_entity_label, StoreBuilder.add_alias = record_label, record_alias
+    try:
+        yield text
+    finally:
+        StoreBuilder.set_entity_label, StoreBuilder.add_alias = set_label, add_alias
+
+
+def two_pass_vocabulary(store: TripleStore, text: EntityText,
+                        extra_texts=()) -> Vocabulary:
     """`build_vocabulary` as it was before the store counted its entity
-    words: each label and alias is split into words again here."""
+    words: each label and alias the store was built from is split into
+    words again here."""
     vocab = Vocabulary()
     words: set[str] = set()
     for name in sorted(store.catalog):
@@ -106,30 +154,28 @@ def two_pass_vocabulary(store: TripleStore, extra_texts=()) -> Vocabulary:
     for entity in sorted(store.all_entities()):
         vocab.add(entity)
     text_vocab: set[str] = set()
-    for entity in store.all_entities():
-        meta = store.entity_meta(entity)
-        text_vocab.update(text_words(meta.label))
-        for alias in meta.aliases:
+    for label, aliases in text.by_entity().values():
+        text_vocab.update(text_words(label))
+        for alias in aliases:
             text_vocab.update(text_words(alias))
-    for text in extra_texts:
-        text_vocab.update(text_words(text))
+    for extra in extra_texts:
+        text_vocab.update(text_words(extra))
     for word in sorted(text_vocab):
         if not _NUMBER_WORD_RE.fullmatch(word):
             vocab.add(word)
     return vocab.freeze()
 
 
-def two_pass_idf(store: TripleStore) -> tuple[dict[str, float], float]:
+def two_pass_idf(store: TripleStore, text: EntityText) -> tuple[dict[str, float], float]:
     """The lexical scorer's IDF table and unseen-token weight, from the
     corpus `build_lexical_scorer` used before the store counted its
     entity words: the catalog names, then each entity's label when it
-    has one and each of its aliases, one document each."""
+    has one and each of its distinct aliases, one document each."""
     corpus = list(store.catalog)
-    for entity in sorted(store.all_entities()):
-        meta = store.entity_meta(entity)
-        if meta.label:
-            corpus.append(meta.label)
-        corpus.extend(meta.aliases)
+    for label, aliases in text.by_entity().values():
+        if label:
+            corpus.append(label)
+        corpus.extend(aliases)
     df: dict[str, int] = {}
     for doc in corpus:
         for token in set(text_words(doc)):

@@ -223,12 +223,16 @@ def test_help_lists_exactly_the_flags_the_command_reads(command, capsys):
 ])
 def test_flag_of_another_command_is_a_usage_error(argv, flag, tmp_path, monkeypatch,
                                                    capsys):
-    """A flag that the command would ignore exits 1 naming the flag,
-    before the command reads or writes anything."""
+    """A flag that the command would ignore exits 1 naming the flag and
+    the command, before the command reads or writes anything. The flag
+    takes its value as it would elsewhere, so the message names no
+    positional argument."""
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and flag in err
+    assert err == f"usage error: kbqa {argv[0]} does not take {flag}\n"
+    positionals = {"eval": 2}.get(argv[0], 1)
+    assert not any(value in err for value in argv[-positionals:])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -243,6 +247,7 @@ def test_flag_of_another_command_is_a_usage_error(argv, flag, tmp_path, monkeypa
     ("--max-output-tokens", "0", "1"),
     ("--input-budget", "-1", "0"),
     ("--scorer-timeout", "0", "0.5"),
+    ("--workers", "0", "1"),
 ])
 def test_out_of_range_flag_is_a_usage_error(flag, bad, edge, dataset, tmp_path, capsys):
     """A numeric flag outside its range exits 1 naming the flag, for the
@@ -354,7 +359,8 @@ def test_byte_order_mark_does_not_split_an_entity(tmp_path):
     """A store file that starts with a UTF-8 byte-order mark loads its
     first subject as the same entity as the later lines name. Like
     benchmarks/run.py, this calls `load_store` with only `kb` and
-    `type_relation`, which is enough for a store directory."""
+    `type_relation`, which is enough for a store directory and for a
+    triples file."""
     store_dir = tmp_path / "store"
     store_dir.mkdir()
     (store_dir / "triples.tsv").write_bytes(BOM + b"e1\tr.x\te2\ne1\ttype_rel\tc.a\n")
@@ -368,6 +374,12 @@ def test_byte_order_mark_does_not_split_an_entity(tmp_path):
     assert store.type_relation == toy.type_relation  # meta.json wins
     assert list(store.dump_triples_tsv()) == list(toy.dump_triples_tsv())
     assert list(store.dump_aliases_tsv()) == list(toy.dump_aliases_tsv())
+
+    triples = tmp_path / "kb.tsv"
+    triples.write_bytes(BOM + toy_triples_tsv().encode("utf-8"))
+    store = load_store(SimpleNamespace(kb=str(triples), type_relation="type_rel"))
+    assert list(store.dump_triples_tsv()) == list(toy.dump_triples_tsv())
+    assert list(store.dump_aliases_tsv()) == []
 
 
 def test_byte_order_mark_dataset_and_score_table_load(kb_files, dataset, tmp_path, capsys):

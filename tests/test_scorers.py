@@ -6,6 +6,7 @@ import pytest
 
 from kbqa.errors import ScorerProtocolError
 from kbqa.fixtures import toy_store
+from kbqa.pipeline import Pipeline, PipelineConfig
 from kbqa.scorers import (ExternalTokenScorer, NgramScorer, OracleScorer,
                           SparseRow, UniformScorer, _stable_seed,
                           ngram_scorer_from_forms)
@@ -124,6 +125,24 @@ def test_ngram_from_forms_end_token(vocab):
 
 def _child(script: str) -> str:
     return f'{sys.executable} -u -c "{script}"'
+
+
+def _scripted_child(size, rows):
+    """A child scorer that answers a prefix in `rows` with its
+    {id: value text} and -inf elsewhere, and any other prefix with
+    -inf everywhere."""
+    lines = {prefix: " ".join(row.get(i, "-inf") for i in range(size))
+             for prefix, row in rows.items()}
+    script = (
+        "import sys\n"
+        f"lines = {lines!r}\n"
+        f"other = ' '.join(['-inf'] * {size})\n"
+        "for line in sys.stdin:\n"
+        "    ids = line.rstrip(chr(10)).split(chr(9))[2].split(',')\n"
+        "    print(lines.get(tuple(int(i) for i in ids if i), other))\n"
+        "    sys.stdout.flush()"
+    )
+    return _child(script)
 
 
 def padded_history(scorer, prefix):
@@ -334,3 +353,44 @@ def test_external_token_scorer_timeout():
             scorer.next_log_probs((), ())
     finally:
         scorer.close()
+
+
+def test_external_rows_must_be_log_probabilities():
+    """A child's row with a value above 0 or a NaN is a protocol error;
+    0 and -inf are log-probabilities. The case below, 10.0 at the end
+    token after (A B), once made an unconstrained beam of 2 return
+    [(E), (A E)] and drop (A B E) at 9.5, because the early stop assumes
+    that a path's score never rises. In a pipeline, the failed decode is
+    recorded and the ELFs answer."""
+    rows = {(): {0: "0.0", 1: "-inf", 2: "-2.5"}, (1,): {3: "nan"}, (2,): {3: "inf"}}
+    scorer = ExternalTokenScorer(_scripted_child(5, rows), vocab_size=5)
+    try:
+        assert hexes(scorer.next_log_probs((), ())) == hexes(
+            [0.0, -math.inf, -2.5, -math.inf, -math.inf])
+        for prefix, bad in (((1,), "nan"), ((2,), "inf")):
+            with pytest.raises(ScorerProtocolError, match=f"got {bad} at id 3"):
+                scorer.next_log_probs((), prefix)
+    finally:
+        scorer.close()
+
+    scorers = []
+
+    def scratch_case(vocab):
+        a, b, end = vocab.id("("), vocab.id("COUNT"), vocab.end_id
+        rows = {(): {end: "-0.1", a: "-0.2"}, (a,): {end: "-0.2", b: "-0.3"},
+                (a, b): {end: "10.0"}}
+        scorers.append(ExternalTokenScorer(_scripted_child(vocab.size, rows), vocab.size))
+        return scorers[-1]
+
+    pipe = Pipeline(toy_store(), PipelineConfig(beam_size=2), token_scorer=scratch_case)
+    vocab = pipe.vocab
+    try:
+        with pytest.raises(ScorerProtocolError, match="at most 0, got 10.0"):
+            scorers[0].next_log_probs((), (vocab.id("("), vocab.id("COUNT")))
+        prediction = pipe.predict("name the system that has decimetre as a measurement unit",
+                                  "q")
+    finally:
+        scorers[0].close()
+    assert "at most 0, got 10.0" in prediction.stage_errors["decode"]
+    assert prediction.provenance == "elf-fallback"
+    assert prediction.logical_form

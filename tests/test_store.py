@@ -7,15 +7,16 @@ import threading
 import pytest
 
 from kbqa.errors import DataError, TripleParseError
-from kbqa.fixtures import TOY_TRIPLES, synthetic_store, toy_store
+from kbqa.fixtures import TOY_ALIASES, TOY_LABELS, TOY_TRIPLES, synthetic_store, toy_store
 from kbqa.retrieve import build_lexical_scorer
 from kbqa.store import (LiteralValue, StoreBuilder, TripleStore, _classify_literal,
                         collector_paused, parse_literal, read_rows, reduce_iri)
 from kbqa.vocab import build_vocabulary
 
 from randgen import random_store
-from references import (ReferenceIndex, entity_text_store, toy_aliases_tsv,
-                        toy_triples_tsv, two_pass_idf, two_pass_vocabulary)
+from references import (EntityText, ReferenceIndex, entity_text_store,
+                        recording_entity_text, toy_aliases_tsv, toy_triples_tsv,
+                        two_pass_idf, two_pass_vocabulary)
 
 
 def fixture_scan(pred):
@@ -325,21 +326,26 @@ def test_read_rows_skips_blank_and_comment_lines():
 
 
 def _text_stores():
+    """Stores, each with the entity text it was built from."""
     rng = random.Random(8)
-    return [toy_store(), entity_text_store()] + [random_store(rng) for _ in range(20)]
+    stores = []
+    for make in [toy_store, entity_text_store] + [lambda: random_store(rng)] * 20:
+        with recording_entity_text() as text:
+            stores.append((make(), text))
+    return stores
 
 
 def test_vocabulary_and_idf_match_the_two_pass_reference():
     """The store counts its entity words in the one pass that folds the
     aliases; the vocabulary and the IDF table built from those counts
     equal the ones built by splitting every label and alias again."""
-    for store in _text_stores():
+    for store, text in _text_stores():
         for extra in ((), ("which route is 66 km", "ROUTE Alpha")):
             got = build_vocabulary(store, extra)
-            want = two_pass_vocabulary(store, extra)
+            want = two_pass_vocabulary(store, text, extra)
             assert got.tokens(range(got.size)) == want.tokens(range(want.size))
         scorer = build_lexical_scorer(store)
-        idf, unseen = two_pass_idf(store)
+        idf, unseen = two_pass_idf(store, text)
         assert {t: w.hex() for t, w in scorer._idf.items()} == \
             {t: w.hex() for t, w in idf.items()}
         assert scorer._unseen.hex() == unseen.hex()
@@ -355,6 +361,24 @@ def test_entity_text_counts_of_hand_made_texts():
                             "3.5": 3, "km": 3, "road": 3}
     with pytest.raises(TypeError):
         counts["route"] = 0
+
+
+def test_labels_of_hand_made_texts():
+    """An entity without a label, or with an empty one, takes its first
+    alias as its label; one with neither is named by its id."""
+    store = entity_text_store()
+    assert [store.entity_label(e) for e in ("e1", "e2", "e3", "e4", "e5")] == [
+        "Springfield 2", "Route 66 route", "e3", "3.5 km road", "route route"]
+    assert list(store.dump_labels_tsv()) == [
+        "e1\tSpringfield 2", "e2\tRoute 66 route", "e4\t3.5 km road", "e5\troute route"]
+    # An empty first alias is an empty label: the id names the entity,
+    # and the alias is one document without words.
+    builder = StoreBuilder()
+    builder.load_aliases(io.StringIO("\te6\t0.5\nSix\te6\t0.4\n"))
+    store = builder.freeze()
+    assert store.entity_label("e6") == "e6" and list(store.dump_labels_tsv()) == []
+    documents, counts = store.entity_text_counts()
+    assert (documents, dict(counts)) == (2, {"six": 1})
 
 
 def test_literal_identity_promotes_numeric_kinds():
@@ -420,10 +444,13 @@ def exact_items(edges):
     return [(r, [exact(x) for x in leaf]) for r, leaf in edges.items()]
 
 
-def assert_matches_reference(store, added=None):
+def assert_matches_reference(store, added=None, text=None):
     """Every triple query of the store against `ReferenceIndex`, and
     with `added`, the triples as added: the first of each (subject,
-    relation, object) is kept, literals compared by value."""
+    relation, object) is kept, literals compared by value. `text` is the
+    entity text the store was built from: a node it names is known."""
+    text = text or EntityText()
+    named = {*text.labels, *(entity for _, entity, _ in text.aliases)}
     ref = ReferenceIndex(store)
     if added is not None:
         assert exact_triples(ref.triples) == exact_triples(dict.fromkeys(added))
@@ -435,9 +462,7 @@ def assert_matches_reference(store, added=None):
             assert store.has_node(node) == (node in ref.into)
         else:
             assert exact_items(store.out_edges(node)) == exact_items(ref.out.get(node, {}))
-            meta = store.entity_meta(node)
-            assert store.has_node(node) == (
-                node in ref.entities or bool(meta.label or meta.aliases))
+            assert store.has_node(node) == (node in ref.entities or node in named)
     assert ref.entities <= store.all_entities()
     for name in store.classes() + ["no.such.class"]:
         assert store.instances_of(name) == ref.members.get(name, set())
@@ -483,10 +508,11 @@ def test_columns_match_the_reference_index_on_random_stores(monkeypatch):
     rng = random.Random(31)
     for _ in range(25):
         added.clear()
-        store = random_store(rng)
-        assert_matches_reference(store, list(added))
+        with recording_entity_text() as text:
+            store = random_store(rng)
+        assert_matches_reference(store, list(added), text)
     monkeypatch.undo()
-    assert_matches_reference(toy_store(), TOY_TRIPLES)
+    assert_matches_reference(toy_store(), TOY_TRIPLES, EntityText(TOY_LABELS, TOY_ALIASES))
 
 
 def test_equal_literals_under_one_subject_and_relation_keep_the_first():
@@ -560,9 +586,11 @@ def test_first_views_from_many_threads_are_the_same():
 
 def test_load_adds_few_collector_tracked_objects_per_triple():
     """Loading and freezing a store leaves few containers for the cyclic
-    collector to walk: the triple indexes are arrays, and an entity's
-    metadata is built when asked for. With a tuple per triple in several
-    dicts and an object per entity, this read 4.1 per triple; now 0.78."""
+    collector to walk: the triple indexes are arrays, entity text is a
+    label map of strings, and the alias index holds a tuple of (entity,
+    popularity) tuples per surface. With a tuple per triple in several
+    dicts and an object per entity, this read 4.1 per triple; with a list
+    per surface and one per entity's aliases, 0.78; now 0.56."""
     gc.collect()
     with collector_paused():
         before = len(gc.get_objects())
@@ -570,3 +598,19 @@ def test_load_adds_few_collector_tracked_objects_per_triple():
         added = len(gc.get_objects()) - before
     assert len(store) == 90_000
     assert added / len(store) < 1.0
+
+
+def test_entity_text_leaves_few_tracked_objects_per_alias_row():
+    """After a collection, a store keeps no list per alias surface or
+    per entity: the index's tuples hold only strings and floats, so the
+    collector stops tracking them. With those lists this read 2.50 per
+    alias row (`synthetic_store` has one alias per entity); now 0.50,
+    the literal objects of its 10,000 float triples."""
+    gc.collect()
+    before = len(gc.get_objects())
+    store = synthetic_store(20_000)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    rows = len(list(store.dump_aliases_tsv()))
+    assert rows == 20_000
+    assert added / rows <= 1.0
