@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 import threading
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import vocab as vocab_mod
 from .beam import Hypothesis, TokenScorer, beam_search
@@ -28,8 +29,8 @@ from .sexpr import parse, print_canonical
 from .store import NUMBER_RE, LiteralValue, TripleStore, read_rows
 from .trie import SchemaTrie, build_trie
 from .vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, Vocabulary,
-                    build_vocabulary, encode_logical_form, encode_text,
-                    raw_join, tokenize_name)
+                    build_vocabulary, encode_canonical, encode_text,
+                    raw_join)
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,6 @@ def assemble_context(vocab: Vocabulary, question: Question,
     exceeded, whole items drop from the tail of the sequence (never
     mid-item); the three sentinels always survive."""
     entities = tuple((store.entity_label(link.entity), link.entity) for link in links)
-    elf_prints = tuple(cand.text() for cand in elfs)
-    schema_names = tuple(cand.text() for cand in schema[0]) + tuple(
-        cand.text() for cand in schema[1])
 
     question_ids = encode_text(vocab, question.text)
     sentinel_count = 3
@@ -130,15 +128,15 @@ def assemble_context(vocab: Vocabulary, question: Question,
         ids.append(vocab.id(")"))
         return ids
 
-    def elf_chunk(text: str) -> list[int]:
+    def elf_chunk(cand: ScoredCandidate) -> list[int]:
         try:
-            return encode_logical_form(vocab, text)
+            return encode_canonical(vocab, cand.candidate)
         except TokenizeError:
-            return encode_text(vocab, text)
+            return encode_text(vocab, cand.text())
 
     def schema_chunk(name: str) -> list[int]:
         try:
-            return [vocab.id(tok) for tok in tokenize_name(name)]
+            return list(vocab.name_ids(name))
         except TokenizeError:
             return encode_text(vocab, name)
 
@@ -146,9 +144,10 @@ def assemble_context(vocab: Vocabulary, question: Question,
     items: list[tuple[int, object, list[int]]] = []
     for label, entity in entities:
         items.append((0, (label, entity), entity_chunk(label, entity)))
-    for text in elf_prints:
-        items.append((1, text, elf_chunk(text)))
-    for name in schema_names:
+    for cand in elfs:
+        items.append((1, cand.text(), elf_chunk(cand)))
+    for cand in (*schema[0], *schema[1]):
+        name = cand.text()
         items.append((2, name, schema_chunk(name)))
 
     total = len(question_ids) + sentinel_count + sum(len(c) for _, _, c in items)
@@ -175,6 +174,39 @@ def assemble_context(vocab: Vocabulary, question: Question,
     )
 
 
+# The stages `Pipeline.predict` times, in the order it times them.
+_STAGES = ("link", "enumerate", "retrieve", "assemble", "decode", "validate", "total")
+
+
+class StageTimes(Mapping):
+    """Seconds per stage, read-only, in the order the stages ran: one
+    array of doubles and a tuple of stage names, which `predict`'s
+    predictions share. A batch of predictions is held in memory at once,
+    and this is about 190 B against 440 B for a dict of seven floats."""
+
+    __slots__ = ("_stages", "_seconds")
+
+    def __init__(self, seconds: Mapping[str, float]):
+        stages = tuple(seconds)
+        self._stages = _STAGES if stages == _STAGES else stages
+        self._seconds = array("d", seconds.values())
+
+    def __getitem__(self, stage: str) -> float:
+        try:
+            return self._seconds[self._stages.index(stage)]
+        except ValueError:
+            raise KeyError(stage) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._stages)
+
+    def __len__(self) -> int:
+        return len(self._stages)
+
+    def __repr__(self) -> str:
+        return f"StageTimes({dict(self)!r})"
+
+
 # Slotted, which saves about 50 B per instance: a batch of predictions
 # is held in memory at once.
 @dataclass(frozen=True, slots=True)
@@ -184,7 +216,7 @@ class Prediction:
     answers: Optional[tuple[str, ...]]
     provenance: str  # "generated" | "elf-fallback" | "none"
     beam_rank: Optional[int]
-    timing: dict = field(default_factory=dict, compare=False)
+    timing: Mapping[str, float] = field(default_factory=dict, compare=False)
     context: Optional[dict] = None
     stage_errors: dict = field(default_factory=dict, compare=False)
 
@@ -195,7 +227,7 @@ class Prediction:
             "answers": list(self.answers) if self.answers is not None else None,
             "provenance": self.provenance,
             "beam_rank": self.beam_rank,
-            "timing": self.timing,
+            "timing": dict(self.timing),
         }
         if self.stage_errors:
             record["stage_errors"] = self.stage_errors
@@ -384,7 +416,7 @@ class Pipeline:
                 "token_count": len(context.token_ids),
             }
         return Prediction(qid, chosen_form, answers, provenance, beam_rank,
-                          timing, context_dump, prepared.stage_errors)
+                          StageTimes(timing), context_dump, prepared.stage_errors)
 
     def predict_batch(self, examples: Sequence[QAExample],
                       workers: int = 1) -> list[Prediction]:

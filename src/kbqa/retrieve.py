@@ -6,6 +6,12 @@ The scorer interface is a single text pair -> real number contract so a
 neural scorer can be swapped in (including via a child process) without
 code changes. The built-in baseline is deterministic lexical overlap:
 IDF-weighted token Jaccard plus a character-trigram tie-breaker.
+
+Cost model: the baseline pays once for each part of a candidate text,
+an entity id, a relation or class name, an operator, and not again for
+each (question, text) pair it appears in. A pair costs one pass over
+the text's chunks, each a memo lookup, and the set operations of the
+score itself.
 """
 
 from __future__ import annotations
@@ -13,13 +19,15 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from .errors import DataError, NoCandidateError, ScorerProtocolError
 from .scorers import LineProcess
-from .sexpr import LogicalForm, print_canonical
+from .sexpr import TOKEN_RE, LogicalForm, print_canonical
 from .store import TripleStore, text_words
 
 
@@ -93,14 +101,36 @@ def _trigrams(text: str) -> set[str]:
     return {text[i:i + 3] for i in range(len(text) - 2)}
 
 
+def _chunk_features(chunk: str) -> tuple:
+    """(words, trigrams, head, tail) of one chunk: its distinct words
+    and the trigrams of their space-joined text J, as tuples of interned
+    strings, and J's first and last two characters; () without words."""
+    words = text_words(chunk)
+    if not words:
+        return ()
+    joined = " ".join(words)
+    return (tuple(map(sys.intern, dict.fromkeys(words))),
+            tuple(map(sys.intern, _trigrams(joined))), joined[:2], joined[-2:])
+
+
 class LexicalScorer:
     """IDF-weighted token overlap plus 0.1 * character-trigram Jaccard.
 
     IDF weights come from a document corpus given at construction time
     (each document one string); without a corpus all tokens weigh 1.
+
+    Cost model: a candidate's word set and trigram set are unions of
+    memo entries. Each chunk's words and trigrams are memoised, and so
+    are the trigrams that span the space between two chunks, keyed by
+    the last two characters of the text joined so far and the first two
+    of the next chunk. A pair then costs one pass over the text's
+    chunks, each a memo lookup. The memos fill as texts arrive, never
+    at construction, and hold one entry per distinct chunk and junction.
     """
 
     def __init__(self, corpus: Optional[Sequence[str]] = None):
+        self._chunks: dict[str, tuple] = {}
+        self._spans: dict[str, tuple[str, ...]] = {}
         df: dict[str, int] = {}
         for doc in corpus or ():
             for token in set(text_words(doc)):
@@ -121,20 +151,48 @@ class LexicalScorer:
                      for token, count in df.items()}
         self._unseen = math.log(1 + documents) + 1.0  # a token outside the corpus
 
+    def _features(self, text: str) -> tuple[set[str], set[str]]:
+        """The word set of `text` and the trigram set of its space-joined
+        words, as unions of memo entries. The text's chunks are its
+        `TOKEN_RE` runs: no word of `text_words` crosses their edges, so
+        the text's words are its chunks' words in order."""
+        chunks, spans = self._chunks, self._spans
+        words: set[str] = set()
+        trigrams: set[str] = set()
+        tail = ""  # the last two characters of the words joined so far
+        for chunk in TOKEN_RE.findall(text):
+            entry = chunks.get(chunk)
+            if entry is None:
+                entry = chunks[chunk] = _chunk_features(chunk)
+            if not entry:
+                continue
+            chunk_words, chunk_trigrams, head, end = entry
+            words.update(chunk_words)
+            trigrams.update(chunk_trigrams)
+            if tail:
+                junction = f"{tail} {head}"
+                span = spans.get(junction)
+                if span is None:
+                    span = spans[junction] = tuple(map(sys.intern, _trigrams(junction)))
+                trigrams.update(span)
+                # A one-letter chunk leaves the joining space in the tail.
+                tail = end if len(end) == 2 else " " + end
+            else:
+                tail = end
+        return words, trigrams
+
     def score(self, question: Question, candidate_text: str) -> float:
-        words = text_words(candidate_text)
         q_tokens = question.word_set
-        c_tokens = set(words)
+        c_tokens, c_tri = self._features(candidate_text)
         union = q_tokens | c_tokens
         overlap = 0.0
         if union:
-            idf, unseen = self._idf.get, self._unseen
+            idf, unseen = self._idf.get, repeat(self._unseen)
             # fsum rounds once, so the sets' hash order cannot move ties.
-            common_weight = math.fsum(idf(t, unseen) for t in q_tokens & c_tokens)
-            union_weight = math.fsum(idf(t, unseen) for t in union)
+            common_weight = math.fsum(map(idf, q_tokens & c_tokens, unseen))
+            union_weight = math.fsum(map(idf, union, unseen))
             overlap = common_weight / union_weight if union_weight else 0.0
         q_tri = question.trigrams
-        c_tri = _trigrams(" ".join(words))
         common = len(q_tri & c_tri)
         either = len(q_tri) + len(c_tri) - common
         tri = common / either if either else 0.0
@@ -180,6 +238,10 @@ class TableScorer:
         if not isinstance(scores, dict) or not all(
                 type(score) in (int, float) for score in scores.values()):
             raise DataError(f"{path}: expected a JSON object of numbers")
+        # A NaN score would make the ranking's order follow input order.
+        for text, score in scores.items():
+            if math.isnan(score):
+                raise DataError(f"{path}: the score of {text!r} is NaN")
         return TableScorer(scores)
 
 
@@ -202,9 +264,13 @@ class ExternalTextScorer:
         reply = self._proc.request(
             "SCORE\t%s\t%s" % (self._clean(question.text), self._clean(candidate_text)))
         try:
-            return float(reply)
+            value = float(reply)
         except ValueError as exc:
             raise ScorerProtocolError(f"malformed score reply {reply!r}") from exc
+        # A NaN score would make the ranking's order follow input order.
+        if math.isnan(value):
+            raise ScorerProtocolError(f"score reply {reply!r} is not a number")
+        return value
 
     def close(self) -> None:
         self._proc.close()

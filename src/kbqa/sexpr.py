@@ -23,6 +23,7 @@ numbers are float literals.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -95,6 +96,7 @@ class Compare:
 
 LogicalForm = Union[EntityRef, LiteralRef, ClassRef, And, Join, Count,
                     ArgMin, ArgMax, Compare]
+_COMPOUND = (And, Join, Count, ArgMin, ArgMax, Compare)
 
 
 class FunctionClass(enum.Enum):
@@ -106,6 +108,13 @@ class FunctionClass(enum.Enum):
 
 # ---------------------------------------------------------------------------
 # lexing / parsing
+
+
+# What `_lex` reads as one token other than a parenthesis: a maximal run
+# of characters that are neither whitespace nor a parenthesis (its
+# whitespace test, str.isspace, and the pattern's \s agree on every
+# code point).
+TOKEN_RE = re.compile(r"[^\s()]+")
 
 
 def _lex(text: str) -> list[tuple[str, int]]:
@@ -243,18 +252,48 @@ def parse(text: str) -> LogicalForm:
     return _Parser(text).parse()
 
 
+def read_atom(text: str, obj_slot: bool) -> Optional[LogicalForm]:
+    """The atom that `parse` reads where `text` stands as one token in
+    an object slot (or, without `obj_slot`, an expression slot); None
+    when `text` is not one token or the parser rejects it there. A name
+    reads back as a ClassRef in an expression slot exactly when the
+    parser would accept it as a relation name."""
+    if not TOKEN_RE.fullmatch(text):
+        return None
+    try:
+        return _Parser("")._atom(text, 0, obj_slot)
+    except (SexprParseError, ValueError):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # printing / canonicalization
 
 
 def print_canonical(lf: LogicalForm) -> str:
-    """Deterministic text; AND arguments are emitted in sorted order."""
+    """Deterministic text; AND arguments are emitted in sorted order.
+
+    A compound node keeps its print, so each node is printed once however
+    often it is asked for: the enumerator's dedup key is the print that
+    ranking, context assembly and the answer reuse, and a form's print
+    reuses those of its sub-forms. Nodes are immutable, so a kept print
+    never goes stale; it is not a field, so equality ignores it.
+    """
+    if isinstance(lf, _COMPOUND):
+        text = lf.__dict__.get("_print")
+        if text is None:
+            text = lf.__dict__["_print"] = _print_compound(lf)
+        return text
     if isinstance(lf, EntityRef):
         return lf.entity
     if isinstance(lf, ClassRef):
         return lf.name
     if isinstance(lf, LiteralRef):
         return lf.value.text()
+    raise TypeError(f"not a logical form node: {lf!r}")
+
+
+def _print_compound(lf: LogicalForm) -> str:
     if isinstance(lf, And):
         left, right = sorted((print_canonical(lf.left), print_canonical(lf.right)))
         return f"(AND {left} {right})"
@@ -268,9 +307,7 @@ def print_canonical(lf: LogicalForm) -> str:
         return f"(ARGMIN {print_canonical(lf.sub)} {lf.relation})"
     if isinstance(lf, ArgMax):
         return f"(ARGMAX {print_canonical(lf.sub)} {lf.relation})"
-    if isinstance(lf, Compare):
-        return f"({lf.op} {lf.relation} {lf.literal.text()})"
-    raise TypeError(f"not a logical form node: {lf!r}")
+    return f"({lf.op} {lf.relation} {lf.literal.text()})"
 
 
 def canonicalize(lf: LogicalForm) -> LogicalForm:

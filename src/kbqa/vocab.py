@@ -17,11 +17,12 @@ across stores of the same build recipe.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional, Sequence, Union
+from typing import Container, Iterable, Optional, Sequence, Union
 
 from .errors import TokenizeError
 from .sexpr import (OPERATORS, And, ArgMax, ArgMin, ClassRef, Compare, Count,
-                    EntityRef, Join, LiteralRef, LogicalForm, Reverse, parse)
+                    EntityRef, Join, LiteralRef, LogicalForm, Reverse, parse,
+                    print_canonical, read_atom)
 from .store import LiteralValue, TripleStore, text_words
 
 BEGIN = "<s>"
@@ -43,12 +44,15 @@ _NUMBER_WORD_RE = re.compile(r"\d+(?:\.\d+)?")
 
 
 class Vocabulary:
-    """Bidirectional token-id map; append-only until frozen."""
+    """Bidirectional token-id map; append-only until frozen. The ids of
+    the schema names in `catalog` are memoised as they are asked for."""
 
-    def __init__(self):
+    def __init__(self, catalog: Container[str] = ()):
         self._tok_to_id: dict[str, int] = {}
         self._id_to_tok: list[str] = []
         self.frozen = False
+        self._catalog = catalog
+        self._name_ids: dict[str, tuple[int, ...]] = {}
         for token in SPECIALS + STRUCTURAL + OPERATORS + SEPARATORS + DIGITS + TYPE_TAGS:
             self.add(token)
 
@@ -91,6 +95,16 @@ class Vocabulary:
 
     def tokens(self, ids: Iterable[int]) -> list[str]:
         return [self._id_to_tok[i] for i in ids]
+
+    def name_ids(self, name: str) -> tuple[int, ...]:
+        """The ids of `tokenize_name(name)`. Only a catalog name's ids are
+        kept, so the memo is bounded by the catalog."""
+        ids = self._name_ids.get(name)
+        if ids is None:
+            ids = tuple(self.id(token) for token in tokenize_name(name))
+            if name in self._catalog:
+                self._name_ids[name] = ids
+        return ids
 
     # Frequently used ids, resolved once.
     @property
@@ -156,7 +170,7 @@ def build_vocabulary(store: TripleStore,
                      extra_texts: Iterable[str] = ()) -> Vocabulary:
     """Vocabulary covering the store's catalog, entities, labels and
     aliases, plus any extra free text (e.g. a question corpus)."""
-    vocab = Vocabulary()
+    vocab = Vocabulary(store.catalog)
     words: set[str] = set()
     for name in sorted(store.catalog):
         for token in tokenize_name(name):
@@ -240,6 +254,66 @@ def encode_logical_form(vocab: Vocabulary,
 
     emit(lf)
     return [vocab.id(token) for token in tokens]
+
+
+class _Unread(Exception):
+    """A part of a form that its print would not read back as."""
+
+
+def encode_canonical(vocab: Vocabulary, lf: LogicalForm) -> list[int]:
+    """`encode_logical_form(vocab, print_canonical(lf))`, read off the
+    node without lexing its print. AND arguments go out in print order,
+    whatever order the node was built in, and each atom and name as the
+    parser reads its print in its slot. A form with a part that does not
+    read back as one plain token, with COUNT, ARGMIN, ARGMAX or a
+    comparison (the enumerator makes none), or with a part outside the
+    vocabulary is encoded from its print, which raises what it raises."""
+    ids: list[int] = []
+    open_, close, join, and_, reverse = (vocab.id(token)
+                                         for token in ("(", ")", "JOIN", "AND", "R"))
+
+    def relation(name: str) -> None:
+        if not isinstance(read_atom(name, False), ClassRef):
+            raise _Unread
+        ids.extend(vocab.name_ids(name))
+
+    def emit(node: LogicalForm, obj_slot: bool) -> None:
+        if isinstance(node, Join):
+            ids.extend((open_, join))
+            if isinstance(node.relation, Reverse):
+                ids.extend((open_, reverse))
+                relation(node.relation.relation)
+                ids.append(close)
+            else:
+                relation(node.relation)
+            emit(node.sub, True)
+            ids.append(close)
+        elif isinstance(node, And):
+            left, right = node.left, node.right
+            if print_canonical(right) < print_canonical(left):
+                left, right = right, left
+            ids.extend((open_, and_))
+            emit(left, False)
+            emit(right, False)
+            ids.append(close)
+        elif isinstance(node, (EntityRef, ClassRef, LiteralRef)):
+            atom = read_atom(print_canonical(node), obj_slot)
+            if isinstance(atom, EntityRef):
+                ids.append(vocab.id(atom.entity))
+            elif isinstance(atom, ClassRef):
+                ids.extend(vocab.name_ids(atom.name))
+            elif isinstance(atom, LiteralRef):
+                ids.extend(vocab.id(token) for token in tokenize_literal(atom.value))
+            else:
+                raise _Unread
+        else:
+            raise _Unread
+
+    try:
+        emit(lf, False)
+    except (_Unread, TokenizeError):
+        return encode_logical_form(vocab, print_canonical(lf))
+    return ids
 
 
 def encode_target(vocab: Vocabulary,

@@ -22,9 +22,15 @@ from kbqa.sexpr import (And, ArgMax, ArgMin, ClassRef, Compare, Count,
 from kbqa.store import LiteralValue, StoreBuilder, TripleStore
 
 
-def random_store(rng: random.Random, max_entities: int = 30) -> TripleStore:
+def random_store(rng: random.Random, max_entities: int = 30,
+                 alias_shapes: bool = False) -> TripleStore:
     """Small random store: a few classes, relations with entity and
-    float-literal ranges, alias rows for a sample of entities."""
+    float-literal ranges, alias rows for a sample of entities. With
+    `alias_shapes`, also the entity-text shapes at the edges of the
+    alias index: an entity named only by an alias, an empty label, an
+    alias row given twice, and one surface shared by two entities. They
+    are drawn after everything else, so without them the draws stay as
+    they are."""
     builder = StoreBuilder()
     n_entities = rng.randint(4, max_entities)
     entities = [f"e{i}" for i in range(n_entities)]
@@ -51,10 +57,22 @@ def random_store(rng: random.Random, max_entities: int = 30) -> TripleStore:
         value = round(rng.uniform(0.0, 500.0), 1)
         builder.add_triple(entity, numeric_rel,
                            LiteralValue("float", value, "float"))
-    for entity in rng.sample(entities, k=max(1, n_entities // 4)):
+    labelled = rng.sample(entities, k=max(1, n_entities // 4))
+    for entity in labelled:
         alias = f"{rng.choice(_WORDS)} {entity}"
         builder.set_entity_label(entity, alias)
         builder.add_alias(alias, entity, round(rng.random(), 2))
+    if alias_shapes:
+        unlabelled = [e for e in entities if e not in labelled]
+        builder.add_alias(f"{rng.choice(_WORDS)} only", rng.choice(unlabelled),
+                          round(rng.random(), 2))
+        builder.set_entity_label(rng.choice(unlabelled), "")
+        twice = (f"{rng.choice(_WORDS)} twice", rng.choice(entities), round(rng.random(), 2))
+        builder.add_alias(*twice)
+        builder.add_alias(*twice)
+        shared = f"{rng.choice(_WORDS)} {rng.choice(_WORDS)}"
+        for entity in rng.sample(entities, 2):
+            builder.add_alias(shared, entity, round(rng.random(), 2))
     return builder.freeze()
 
 

@@ -1,5 +1,6 @@
 """Test references kept out of the engine: the brute-force enumeration
-oracle that `enumerate_elfs` is checked against, the two-pass
+oracle that `enumerate_elfs` is checked against, the lexical score
+computed without the scorer's memos, the two-pass
 vocabulary and IDF table that the store's one-pass entity-text counts
 are checked against, read from the raw entity text a builder was given,
 the plain-dict index that the store's columns are checked against, the
@@ -18,6 +19,7 @@ from typing import Iterator
 from kbqa.enumerator import EnumConfig, StartPoint
 from kbqa.executor import evaluate
 from kbqa.fixtures import TOY_ALIASES, TOY_TRIPLES
+from kbqa.retrieve import LexicalScorer, Question, _trigrams
 from kbqa.sexpr import (And, ClassRef, Join, LogicalForm, Reverse,
                         print_canonical, relation_count)
 from kbqa.store import LiteralValue, StoreBuilder, TripleStore, text_words
@@ -63,6 +65,29 @@ def completeness_oracle(starts: list[StartPoint], store: TripleStore,
     ordered = sorted(collected.values(),
                      key=lambda f: (relation_count(f), print_canonical(f)))
     return ordered[:cfg.max_candidates]
+
+
+def unmemoised_lexical_score(scorer: LexicalScorer, question: Question,
+                             candidate_text: str) -> float:
+    """`scorer.score` as it was before it kept the features of each
+    chunk of a candidate text: the text split into words, and its word
+    set and trigram set built, on every call."""
+    words = text_words(candidate_text)
+    q_tokens = question.word_set
+    c_tokens = set(words)
+    union = q_tokens | c_tokens
+    overlap = 0.0
+    if union:
+        idf, unseen = scorer._idf.get, scorer._unseen
+        common_weight = math.fsum(idf(t, unseen) for t in q_tokens & c_tokens)
+        union_weight = math.fsum(idf(t, unseen) for t in union)
+        overlap = common_weight / union_weight if union_weight else 0.0
+    q_tri = question.trigrams
+    c_tri = _trigrams(" ".join(words))
+    common = len(q_tri & c_tri)
+    either = len(q_tri) + len(c_tri) - common
+    tri = common / either if either else 0.0
+    return overlap + 0.1 * tri
 
 
 class ReferenceIndex:

@@ -110,6 +110,13 @@ def test_timing_recorded(toy):
                   "validate", "total"):
         assert stage in prediction.timing
         assert prediction.timing[stage] >= 0.0
+    assert "beam" not in prediction.timing
+    with pytest.raises(KeyError):
+        prediction.timing["beam"]
+    record = prediction.to_json()["timing"]
+    assert type(record) is dict and list(record) == list(prediction.timing)
+    assert record == {stage: prediction.timing[stage] for stage in prediction.timing}
+    json.dumps(record)
 
 
 def test_assemble_context_sections_and_order(toy):
@@ -206,7 +213,7 @@ def test_assemble_context_lets_unexpected_errors_escape(toy, monkeypatch):
     def broken(vocab, form):
         raise RuntimeError("encoder bug")
 
-    monkeypatch.setattr(pipeline_mod, "encode_logical_form", broken)
+    monkeypatch.setattr(pipeline_mod, "encode_canonical", broken)
     with pytest.raises(RuntimeError, match="encoder bug"):
         assemble_context(vocab, question, [], elfs, ([], []), 1000, store=toy)
 

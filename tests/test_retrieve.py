@@ -3,19 +3,21 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import kbqa
 
-from kbqa.errors import NoCandidateError, ScorerProtocolError
+from kbqa.errors import DataError, NoCandidateError, ScorerProtocolError
 from kbqa.retrieve import (ConstantScorer, ExternalTextScorer, LexicalScorer,
                            Mention, Question, TableScorer, detect_mentions,
                            disambiguate, entity_context_text, link_question,
                            rank_elfs, ranker_loss, retrieve_schema)
 from kbqa.sexpr import parse, print_canonical
 from kbqa.store import StoreBuilder, text_words
+from references import unmemoised_lexical_score
 
 
 def test_question_tokenization_round_trip():
@@ -293,6 +295,62 @@ def test_lexical_score_is_exactly_the_reference_formula():
                     reference_lexical_score(docs, question, candidate).hex()
 
 
+# Pieces of candidate texts at the edges of chunking: parentheses next
+# to words and "()", one- and two-letter words, numbers, chunks without
+# a word, tabs and newlines, and letters whose lowercase is not one
+# ASCII letter (the Kelvin sign, dotted capital I, capital sigma).
+_TEXT_PIECES = ["(", ")", "()", " ", " ", "\t", "\n", "--", "a", "r", "R", "ab", "x_y",
+                "JOIN", "AND", "film.director", "m.0ab", "1.5", "12", "\u212a",
+                "\u0130", "\u03a3", "kelvin", "\u212aelvin", "sigma\u03a3"]
+
+
+def test_memoised_lexical_scores_equal_the_unmemoised_reference():
+    """Every score equals the unmemoised reference bit for bit, with a
+    cold memo and a warm one, and scoring the same pairs again adds
+    nothing to the memos."""
+    rng = random.Random(19)
+
+    def text():
+        return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 14)))
+
+    corpus = [text() for _ in range(40)]
+    for docs in ([], corpus):
+        scorer = LexicalScorer(docs)
+        questions = [Question.of(text()) for _ in range(30)] + [Question.of("")]
+        texts = [text() for _ in range(300)]
+        texts += ["", "()", "join join (join)", "(JOIN (R r) (JOIN r a))", "r r r"]
+        pairs = [(q, t) for q in questions for t in rng.sample(texts, 40)]
+        pairs += [(questions[0], t) for t in texts]
+        want = [unmemoised_lexical_score(scorer, q, t).hex() for q, t in pairs]
+        assert [scorer.score(q, t).hex() for q, t in pairs] == want
+        sizes = len(scorer._chunks), len(scorer._spans)
+        assert [scorer.score(q, t).hex() for q, t in pairs] == want
+        assert (len(scorer._chunks), len(scorer._spans)) == sizes
+
+
+def test_threads_sharing_a_scorer_get_the_serial_scores():
+    """`predict_batch` threads share one scorer, whose memos fill while
+    they score. With a short switch interval, every score still equals
+    the unmemoised reference."""
+    rng = random.Random(23)
+
+    def text():
+        return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 14)))
+
+    questions = [Question.of(text()) for _ in range(10)]
+    pairs = [(q, text()) for q in questions for _ in range(60)]
+    scorer = LexicalScorer([text() for _ in range(20)])
+    want = [unmemoised_lexical_score(scorer, q, t).hex() for q, t in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda pair: scorer.score(*pair).hex(), pairs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
 _HASH_SEED_PROBE = """
 from kbqa.retrieve import LexicalScorer, Question
 words = ["w" + chr(97 + i) for i in range(20)]
@@ -353,6 +411,30 @@ def test_external_text_scorer_protocol_error():
             scorer.score(Question.of("q"), "c")
     finally:
         scorer.close()
+
+
+def test_external_text_scorer_rejects_a_nan_reply():
+    """A NaN score has no place in the ranking's order: with scores a
+    0.5, b NaN, c 0.9 and d 0.1, `rank_elfs` returned a, b, c, d, and
+    with the forms reversed c, a, d, b."""
+    command = f'{sys.executable} -u -c "' \
+        'import sys\n' \
+        'for line in sys.stdin:\n' \
+        '    print(\'nan\')\n' \
+        '    sys.stdout.flush()"'
+    scorer = ExternalTextScorer(command, timeout=10.0)
+    try:
+        with pytest.raises(ScorerProtocolError, match="not a number"):
+            scorer.score(Question.of("q"), "c")
+    finally:
+        scorer.close()
+
+
+def test_table_scorer_file_rejects_a_nan_score(tmp_path):
+    path = tmp_path / "scores.json"
+    path.write_text('{"(JOIN r a)": 0.5, "(JOIN r b)": NaN}', encoding="utf-8")
+    with pytest.raises(DataError, match=f"{path}.*NaN"):
+        TableScorer.from_json_file(str(path))
 
 
 def test_linked_entity_json(toy):

@@ -329,7 +329,8 @@ def _text_stores():
     """Stores, each with the entity text it was built from."""
     rng = random.Random(8)
     stores = []
-    for make in [toy_store, entity_text_store] + [lambda: random_store(rng)] * 20:
+    for make in [toy_store, entity_text_store] + [
+            lambda: random_store(rng, alias_shapes=True)] * 20:
         with recording_entity_text() as text:
             stores.append((make(), text))
     return stores
@@ -509,7 +510,7 @@ def test_columns_match_the_reference_index_on_random_stores(monkeypatch):
     for _ in range(25):
         added.clear()
         with recording_entity_text() as text:
-            store = random_store(rng)
+            store = random_store(rng, alias_shapes=True)
         assert_matches_reference(store, list(added), text)
     monkeypatch.undo()
     assert_matches_reference(toy_store(), TOY_TRIPLES, EntityText(TOY_LABELS, TOY_ALIASES))

@@ -2,11 +2,17 @@ import random
 
 import pytest
 
+from kbqa.enumerator import StartPoint, enumerate_elfs
 from kbqa.errors import TokenizeError
+from kbqa.fixtures import toy_store
+from kbqa.sexpr import (And, ClassRef, Count, EntityRef, Join, LiteralRef, Reverse,
+                        print_canonical)
 from kbqa.store import LiteralValue, SchemaItem, StoreBuilder
 from kbqa.trie import build_trie
-from kbqa.vocab import (UNK, Vocabulary, build_vocabulary, encode_logical_form,
-                        encode_text, tokenize_literal, tokenize_name)
+from kbqa.vocab import (UNK, Vocabulary, build_vocabulary, encode_canonical,
+                        encode_logical_form, encode_text, tokenize_literal,
+                        tokenize_name)
+from randgen import random_store
 
 
 def items_of(trie, vocab):
@@ -91,6 +97,42 @@ def test_encode_logical_form_unknown_entity_rejected(toy):
     vocab = build_vocabulary(toy)
     with pytest.raises(TokenizeError):
         encode_logical_form(vocab, "(JOIN ms.length_units zz_unseen)")
+
+
+def _outcome(encode):
+    try:
+        return encode()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def test_canonical_encoding_is_the_encoding_of_the_print():
+    """`encode_canonical` reads a form's ids off the node. They are the
+    ids of its canonical print, or the same error, for enumerated forms
+    (whose class wraps are built class first, the reverse of print
+    order) and for nodes with parts that read back otherwise: an entity
+    in an expression slot, a class in an object slot, literal-shaped and
+    operator names, an untagged integer, a name with a space, COUNT."""
+    rng = random.Random(5)
+    toy = toy_store()
+    odd = [And(ClassRef("ms.system"), Join("ms.length_units", EntityRef("e1"))),
+           And(EntityRef("e1"), ClassRef("ms.system")),
+           Join("ms.length_units", ClassRef("ms.system")),
+           Join("ms.length_units", LiteralRef(LiteralValue("integer", 5))),
+           Join(Reverse("ms.length_units"), EntityRef("12")),
+           Join("AND", EntityRef("e1")), Join("ms.length_units", EntityRef("e 1")),
+           Join("ms.length_units", EntityRef("nowhere")), Count(ClassRef("sf.engine")),
+           EntityRef("e1"), ClassRef("sf.engine")]
+    cases = [(toy, odd)]
+    for store in [toy] + [random_store(rng, max_entities=12) for _ in range(6)]:
+        starts = [StartPoint.entity(e) for e in sorted(store.all_entities())[:4]]
+        starts.append(StartPoint.literal(LiteralValue("float", 1.5)))
+        cases.append((store, enumerate_elfs(starts, store)))
+    for store, forms in cases:
+        vocab = build_vocabulary(store)
+        for form in forms:
+            assert _outcome(lambda: encode_canonical(vocab, form)) == \
+                _outcome(lambda: encode_logical_form(vocab, print_canonical(form)))
 
 
 def test_trie_textbook_shape():
