@@ -4,9 +4,13 @@ to s-expressions.
 
 Only JOIN/AND chains are enumerated (no counting, comparatives, or
 superlatives); a class constraint may wrap each form at the outermost
-level. Every emitted form has a non-empty denotation by construction,
-and the output is deduplicated by canonical print and ordered by
-(relation count, canonical print) before the candidate cap applies.
+level. A class wrap is built join first, `And(join, ClassRef(c))`,
+which is its print order: a name that `vocab.tokenize_name` accepts
+starts with a letter or a digit, and both sort after the join's "(".
+So a form's node encodes as its print. Every emitted form has a
+non-empty denotation by construction, and the output is deduplicated
+by canonical print and ordered by (relation count, canonical print)
+before the candidate cap applies.
 
 Cost model: `_joins` reads the in- and out-edges of a member set in one
 pass and unions each member's index leaf (a tuple the store already
@@ -81,8 +85,9 @@ def _joins(base: LogicalForm, members, store: TripleStore) -> list[tuple[Join, s
 
 
 def _class_wraps(join: Join, members, base_members, store: TripleStore) -> list[LogicalForm]:
-    """(AND c join) for every string class c of the join's members;
-    `base_members` is the denotation of the join's sub-form."""
+    """(AND join c) for every string class c of the join's members, built
+    join first as it prints; `base_members` is the denotation of the
+    join's sub-form."""
     classes = set()
     if join.relation == store.type_relation:
         # The members are the subjects typed by a base member.
@@ -92,7 +97,7 @@ def _class_wraps(join: Join, members, base_members, store: TripleStore) -> list[
         for member in members:
             if isinstance(member, str):
                 classes.update(store.out_edges(member).get(store.type_relation, ()))
-    return [And(ClassRef(c), join) for c in sorted(c for c in classes if isinstance(c, str))]
+    return [And(join, ClassRef(c)) for c in sorted(c for c in classes if isinstance(c, str))]
 
 
 def enumerate_elfs(starts: list[StartPoint], store: TripleStore,

@@ -29,7 +29,7 @@ from .sexpr import parse, print_canonical
 from .store import NUMBER_RE, LiteralValue, TripleStore, read_rows
 from .trie import SchemaTrie, build_trie
 from .vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, Vocabulary,
-                    build_vocabulary, encode_canonical, encode_text,
+                    build_vocabulary, encode_logical_form, encode_text,
                     raw_join)
 
 
@@ -130,7 +130,7 @@ def assemble_context(vocab: Vocabulary, question: Question,
 
     def elf_chunk(cand: ScoredCandidate) -> list[int]:
         try:
-            return encode_canonical(vocab, cand.candidate)
+            return encode_logical_form(vocab, cand.candidate)
         except TokenizeError:
             return encode_text(vocab, cand.text())
 
@@ -179,29 +179,27 @@ _STAGES = ("link", "enumerate", "retrieve", "assemble", "decode", "validate", "t
 
 
 class StageTimes(Mapping):
-    """Seconds per stage, read-only, in the order the stages ran: one
-    array of doubles and a tuple of stage names, which `predict`'s
-    predictions share. A batch of predictions is held in memory at once,
-    and this is about 190 B against 440 B for a dict of seven floats."""
+    """Seconds per stage, read-only, for the stages in `_STAGES` and in
+    that order: one array of doubles. A batch of predictions is held in
+    memory at once, and this is about 180 B against 440 B for a dict of
+    seven floats."""
 
-    __slots__ = ("_stages", "_seconds")
+    __slots__ = ("_seconds",)
 
     def __init__(self, seconds: Mapping[str, float]):
-        stages = tuple(seconds)
-        self._stages = _STAGES if stages == _STAGES else stages
-        self._seconds = array("d", seconds.values())
+        self._seconds = array("d", (seconds[stage] for stage in _STAGES))
 
     def __getitem__(self, stage: str) -> float:
         try:
-            return self._seconds[self._stages.index(stage)]
+            return self._seconds[_STAGES.index(stage)]
         except ValueError:
             raise KeyError(stage) from None
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._stages)
+        return iter(_STAGES)
 
     def __len__(self) -> int:
-        return len(self._stages)
+        return len(_STAGES)
 
     def __repr__(self) -> str:
         return f"StageTimes({dict(self)!r})"

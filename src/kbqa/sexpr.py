@@ -252,20 +252,6 @@ def parse(text: str) -> LogicalForm:
     return _Parser(text).parse()
 
 
-def read_atom(text: str, obj_slot: bool) -> Optional[LogicalForm]:
-    """The atom that `parse` reads where `text` stands as one token in
-    an object slot (or, without `obj_slot`, an expression slot); None
-    when `text` is not one token or the parser rejects it there. A name
-    reads back as a ClassRef in an expression slot exactly when the
-    parser would accept it as a relation name."""
-    if not TOKEN_RE.fullmatch(text):
-        return None
-    try:
-        return _Parser("")._atom(text, 0, obj_slot)
-    except (SexprParseError, ValueError):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # printing / canonicalization
 

@@ -21,8 +21,7 @@ from typing import Container, Iterable, Optional, Sequence, Union
 
 from .errors import TokenizeError
 from .sexpr import (OPERATORS, And, ArgMax, ArgMin, ClassRef, Compare, Count,
-                    EntityRef, Join, LiteralRef, LogicalForm, Reverse, parse,
-                    print_canonical, read_atom)
+                    EntityRef, Join, LiteralRef, LogicalForm, Reverse, parse)
 from .store import LiteralValue, TripleStore, text_words
 
 BEGIN = "<s>"
@@ -205,114 +204,54 @@ def encode_text(vocab: Vocabulary, text: str) -> list[int]:
 
 def encode_logical_form(vocab: Vocabulary,
                         lf: Union[str, LogicalForm]) -> list[int]:
-    """Exact token encoding of a logical form; raises TokenizeError when
-    any name, entity, or literal is outside the vocabulary."""
+    """Exact token encoding of a logical form, with a node's arguments in
+    the order it was built in; raises TokenizeError when any name,
+    entity, or literal is outside the vocabulary."""
     if isinstance(lf, str):
         lf = parse(lf)
-    tokens: list[str] = []
+    ids: list[int] = []
+    open_, close = vocab.id("("), vocab.id(")")
 
     def emit(node: LogicalForm) -> None:
         if isinstance(node, EntityRef):
-            tokens.append(node.entity)
+            ids.append(vocab.id(node.entity))
         elif isinstance(node, ClassRef):
-            tokens.extend(tokenize_name(node.name))
+            ids.extend(vocab.name_ids(node.name))
         elif isinstance(node, LiteralRef):
-            tokens.extend(tokenize_literal(node.value))
+            ids.extend(map(vocab.id, tokenize_literal(node.value)))
         elif isinstance(node, And):
-            tokens.append("(")
-            tokens.append("AND")
+            ids.extend((open_, vocab.id("AND")))
             emit(node.left)
             emit(node.right)
-            tokens.append(")")
+            ids.append(close)
         elif isinstance(node, Join):
-            tokens.append("(")
-            tokens.append("JOIN")
+            ids.extend((open_, vocab.id("JOIN")))
             if isinstance(node.relation, Reverse):
-                tokens.extend(["(", "R"])
-                tokens.extend(tokenize_name(node.relation.relation))
-                tokens.append(")")
+                ids.extend((open_, vocab.id("R")))
+                ids.extend(vocab.name_ids(node.relation.relation))
+                ids.append(close)
             else:
-                tokens.extend(tokenize_name(node.relation))
+                ids.extend(vocab.name_ids(node.relation))
             emit(node.sub)
-            tokens.append(")")
+            ids.append(close)
         elif isinstance(node, Count):
-            tokens.extend(["(", "COUNT"])
+            ids.extend((open_, vocab.id("COUNT")))
             emit(node.sub)
-            tokens.append(")")
+            ids.append(close)
         elif isinstance(node, (ArgMin, ArgMax)):
-            tokens.extend(["(", "ARGMIN" if isinstance(node, ArgMin) else "ARGMAX"])
+            ids.extend((open_, vocab.id("ARGMIN" if isinstance(node, ArgMin) else "ARGMAX")))
             emit(node.sub)
-            tokens.extend(tokenize_name(node.relation))
-            tokens.append(")")
+            ids.extend(vocab.name_ids(node.relation))
+            ids.append(close)
         elif isinstance(node, Compare):
-            tokens.extend(["(", node.op])
-            tokens.extend(tokenize_name(node.relation))
-            tokens.extend(tokenize_literal(node.literal))
-            tokens.append(")")
+            ids.extend((open_, vocab.id(node.op)))
+            ids.extend(vocab.name_ids(node.relation))
+            ids.extend(map(vocab.id, tokenize_literal(node.literal)))
+            ids.append(close)
         else:
             raise TokenizeError(f"cannot encode node {node!r}")
 
     emit(lf)
-    return [vocab.id(token) for token in tokens]
-
-
-class _Unread(Exception):
-    """A part of a form that its print would not read back as."""
-
-
-def encode_canonical(vocab: Vocabulary, lf: LogicalForm) -> list[int]:
-    """`encode_logical_form(vocab, print_canonical(lf))`, read off the
-    node without lexing its print. AND arguments go out in print order,
-    whatever order the node was built in, and each atom and name as the
-    parser reads its print in its slot. A form with a part that does not
-    read back as one plain token, with COUNT, ARGMIN, ARGMAX or a
-    comparison (the enumerator makes none), or with a part outside the
-    vocabulary is encoded from its print, which raises what it raises."""
-    ids: list[int] = []
-    open_, close, join, and_, reverse = (vocab.id(token)
-                                         for token in ("(", ")", "JOIN", "AND", "R"))
-
-    def relation(name: str) -> None:
-        if not isinstance(read_atom(name, False), ClassRef):
-            raise _Unread
-        ids.extend(vocab.name_ids(name))
-
-    def emit(node: LogicalForm, obj_slot: bool) -> None:
-        if isinstance(node, Join):
-            ids.extend((open_, join))
-            if isinstance(node.relation, Reverse):
-                ids.extend((open_, reverse))
-                relation(node.relation.relation)
-                ids.append(close)
-            else:
-                relation(node.relation)
-            emit(node.sub, True)
-            ids.append(close)
-        elif isinstance(node, And):
-            left, right = node.left, node.right
-            if print_canonical(right) < print_canonical(left):
-                left, right = right, left
-            ids.extend((open_, and_))
-            emit(left, False)
-            emit(right, False)
-            ids.append(close)
-        elif isinstance(node, (EntityRef, ClassRef, LiteralRef)):
-            atom = read_atom(print_canonical(node), obj_slot)
-            if isinstance(atom, EntityRef):
-                ids.append(vocab.id(atom.entity))
-            elif isinstance(atom, ClassRef):
-                ids.extend(vocab.name_ids(atom.name))
-            elif isinstance(atom, LiteralRef):
-                ids.extend(vocab.id(token) for token in tokenize_literal(atom.value))
-            else:
-                raise _Unread
-        else:
-            raise _Unread
-
-    try:
-        emit(lf, False)
-    except (_Unread, TokenizeError):
-        return encode_logical_form(vocab, print_canonical(lf))
     return ids
 
 

@@ -3,14 +3,15 @@ import json
 import pytest
 
 from kbqa import pipeline as pipeline_mod
-from kbqa.enumerator import EnumConfig
+from kbqa.enumerator import EnumConfig, StartPoint, enumerate_elfs
 from kbqa.errors import TokenizeError
 from kbqa.fixtures import toy_store
 from kbqa.pipeline import (Pipeline, PipelineConfig, Prediction, QAExample,
                            assemble_context, load_dataset, start_points)
-from kbqa.retrieve import LexicalScorer, LinkedEntity, Mention, Question, rank_elfs
+from kbqa.retrieve import (LexicalScorer, LinkedEntity, Mention, Question, ScoredCandidate,
+                           rank_elfs)
 from kbqa.scorers import OracleScorer, UniformScorer
-from kbqa.sexpr import canonicalize, parse, print_canonical
+from kbqa.sexpr import EntityRef, Join, Reverse, canonicalize, parse, print_canonical
 from kbqa.store import LiteralValue, StoreBuilder
 from kbqa.vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, build_vocabulary,
                         encode_logical_form)
@@ -213,9 +214,53 @@ def test_assemble_context_lets_unexpected_errors_escape(toy, monkeypatch):
     def broken(vocab, form):
         raise RuntimeError("encoder bug")
 
-    monkeypatch.setattr(pipeline_mod, "encode_canonical", broken)
+    monkeypatch.setattr(pipeline_mod, "encode_logical_form", broken)
     with pytest.raises(RuntimeError, match="encoder bug"):
         assemble_context(vocab, question, [], elfs, ([], []), 1000, store=toy)
+
+
+def _elf_section(vocab, ctx) -> list[str]:
+    tokens = vocab.tokens(ctx.token_ids)
+    return tokens[tokens.index(SECTION_ELFS) + 1:tokens.index(SECTION_SCHEMA)]
+
+
+def test_assemble_context_encodes_a_string_elf_candidate(toy):
+    """A candidate given as text is parsed and encoded as its form."""
+    vocab = build_vocabulary(toy)
+    text = "(JOIN sf.oxidizer e1)"
+    ctx = assemble_context(vocab, Question.of(QUESTION_ONE), [],
+                           [ScoredCandidate(text, 1.0)], ([], []), store=toy)
+    assert ctx.elf_prints == (text,)
+    assert _elf_section(vocab, ctx) == vocab.tokens(encode_logical_form(vocab, text))
+
+
+def test_relation_named_like_an_operator_falls_back_to_its_elf():
+    """A relation named AND prints as a form that does not parse back;
+    assembly encodes the node, and the ELF fallback answers with it."""
+    builder = StoreBuilder()
+    builder.add_triple("e1", "AND", "e2")
+    builder.add_alias("alpha", "e1", 1.0)
+    pipe = Pipeline(builder.freeze())
+    prediction = pipe.predict("what does alpha and")
+    assert (prediction.provenance, prediction.logical_form, prediction.answers) == \
+        ("elf-fallback", "(JOIN (R AND) e1)", ("e2",))
+    assert prediction.stage_errors == {}
+
+
+def test_number_shaped_entity_enters_the_context_as_its_token():
+    """An entity named 7 is the token 7 in its ELF's chunk, the token
+    the decoder's object slot emits, not the digits of the literal 7.0
+    that its print reads back as."""
+    builder = StoreBuilder()
+    builder.add_triple("7", "ms.length_units", "e1")
+    store = builder.freeze()
+    vocab = build_vocabulary(store)
+    form = Join(Reverse("ms.length_units"), EntityRef("7"))
+    assert form in enumerate_elfs([StartPoint.entity("7")], store)
+    ctx = assemble_context(vocab, Question.of("7"), [], [ScoredCandidate(form, 1.0)],
+                           ([], []), store=store)
+    assert _elf_section(vocab, ctx) == ["(", "JOIN", "(", "R", "ms", ".", "length", "_",
+                                        "units", ")", "7", ")"]
 
 
 def test_load_dataset_and_prediction_json_round_trip(tmp_path):
