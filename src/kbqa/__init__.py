@@ -7,7 +7,8 @@ from .beam import Hypothesis, TokenScorer, beam_search, sequence_nll
 from .enumerator import EnumConfig, StartPoint, enumerate_elfs
 from .executor import (AnswerSet, SparqlQuery, compile_sparql, evaluate,
                        evaluate_sparql_subset, is_valid_prediction)
-from .grammar import DecodeContext, GrammarState, advance, allowed_next, render_tokens
+from .grammar import (DecodeContext, DecodeTables, GrammarState, advance, allowed_next,
+                      render_tokens)
 from .metrics import answer_f1, evaluate_dataset, exact_match, hits_at_1
 from .pipeline import (AssembledContext, Pipeline, PipelineConfig, Prediction,
                        QAExample, assemble_context, load_dataset)
@@ -25,7 +26,7 @@ from .vocab import Vocabulary, build_vocabulary, encode_logical_form
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerSet", "AssembledContext", "DecodeContext", "EnumConfig",
+    "AnswerSet", "AssembledContext", "DecodeContext", "DecodeTables", "EnumConfig",
     "FunctionClass", "GrammarState", "Hypothesis", "LexicalScorer",
     "LinkedEntity", "LiteralValue", "LogicalForm", "Mention", "NgramScorer",
     "OracleScorer", "Pipeline", "PipelineConfig", "Prediction", "QAExample",

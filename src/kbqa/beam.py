@@ -9,9 +9,10 @@ entries the constrained beam gathers with `values_at(ids)`, so that a
 wide vocabulary costs nothing beyond the allowed ids. In constrained mode,
 log-probs outside the grammar's allowed set are treated as -inf before
 expansion, so every finished hypothesis spells a parseable,
-catalog-valid logical form. In unconstrained mode any token may follow
-any prefix and a hypothesis finishes on the first end token,
-grammatical or not.
+catalog-valid logical form, and the search stops once no live
+hypothesis can finish in the steps left. In unconstrained mode any
+token may follow any prefix and a hypothesis finishes on the first end
+token, grammatical or not.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 import numpy as np
 
 from .grammar import (DecodeContext, GrammarState, advance, allowed_next,
-                      initial_state, mask_key)
+                      completion, initial_state, mask_key)
 from .scorers import SparseRow
 
 
@@ -64,11 +65,14 @@ class Hypothesis:
 
 
 def _allowed_ids(state: GrammarState, ctx: DecodeContext) -> tuple[int, ...]:
-    """allowed_next as a sorted tuple, memoised under its key."""
+    """allowed_next as a sorted tuple: read from the shared tables, or,
+    for a mask that reaches the obj slot, from the question's memo."""
     key = mask_key(state)
     ids = ctx.mask_ids.get(key)
     if ids is None:
-        ids = ctx.mask_ids[key] = tuple(sorted(allowed_next(state, ctx)))
+        ids = ctx.obj_ids.get(key)
+        if ids is None:
+            ids = ctx.obj_ids[key] = tuple(sorted(allowed_next(state, ctx)))
     return ids
 
 
@@ -85,7 +89,15 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
                 max_len: int = 128) -> list[Hypothesis]:
     """Top finished hypotheses, score-descending, ties broken by token
     sequence; at most beam_size results. Empty when every path
-    dead-ends before finishing."""
+    dead-ends before finishing.
+
+    Two rules stop the search before `max_len` steps, and neither
+    changes what it returns. Once beam_size hypotheses have finished,
+    it stops when no live one can sort before the k-th of them. In
+    constrained mode, it also stops after a step when every live
+    hypothesis needs more tokens to finish (`grammar.completion`, which
+    is exact) than steps are left: none of them can add a finished
+    hypothesis any more."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     end_id = ctx.end_id
@@ -93,7 +105,7 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
     live = [((), 0.0, initial_state())]
     finished: list[Hypothesis] = []
 
-    for _ in range(max_len):
+    for step in range(max_len):
         # Every child of the live beam, in (parent, token) order.
         parents, tokens, scores = [], [], []
         for i, (prefix, log_prob, state) in enumerate(live):
@@ -132,6 +144,9 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
                 next_live.append(path)
         live = next_live
         if not live:
+            break
+        steps_left = max_len - step - 1
+        if constrained and all(completion(state, ctx) > steps_left for _, _, state in live):
             break
         if len(finished) >= beam_size:
             # Along a path the score never rises and the tokens only

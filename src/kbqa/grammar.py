@@ -21,9 +21,21 @@ linked entities supplied in the decode context; literal slots are
 constrained syntactically (digits, one point, optional float/integer
 tag) but not to values present in the KB.
 
-A mask reads only the slot, the trie cursor and the top stack frame, so
-`allowed_next` is memoised on the DecodeContext under that key,
-`mask_key`.
+What does not depend on the question is built once per vocabulary and
+catalog, in `DecodeTables`, and is read-only afterwards: the move table
+and slot masks resolved to token ids, and every allowed set as a sorted
+tuple under its `mask_key` (a mask reads only the slot, the trie cursor
+and, where the current child may end, the top frame). Only the `obj`
+slot reads the question, through its linked entities, so a
+`DecodeContext` holds just those, the `obj` slot resolved against them,
+and a memo of the masks that reach that slot.
+
+The tables also hold the shortest completion. A state carries `tail`,
+the tokens its open frames need once the current child is complete:
+their remaining slots, their closes and the end token. The moves keep
+it up to date in O(1), and `completion` adds the current child's
+remainder, so it is exact: the fewest tokens that take the state to
+`accepted`.
 """
 
 from __future__ import annotations
@@ -49,11 +61,17 @@ _SLOTS = {
     "R": ("rel_bare",),
 }
 
+# A completion of at least this many tokens means that none exists.
+NEVER = 1 << 30
+
 
 class GrammarState(NamedTuple):
     slot: str = "root"
     stack: tuple[tuple[str, int], ...] = ()
     cursor: Optional[TrieNode] = None
+    # tokens the open frames need once the current child is complete:
+    # their remaining slots and closes, and the end token
+    tail: int = 1
 
     @property
     def finished(self) -> bool:
@@ -64,32 +82,45 @@ def initial_state() -> GrammarState:
     return GrammarState()
 
 
-def _end_child(stack: tuple, _=None) -> GrammarState:
+def _next_child(stack: tuple, tail: int, rest: dict) -> GrammarState:
     """State after the current child of the top frame has finished."""
     if not stack:
-        return GrammarState("done")
-    op, pos = stack[-1]
+        return GrammarState("done", (), None, tail)
+    top = stack[-1]
+    op, pos = top
     pos += 1
     stack = stack[:-1] + ((op, pos),)
+    tail += rest[op, pos] - rest[top]
     if pos >= len(_SLOTS[op]):
-        return GrammarState("close", stack)
-    return GrammarState(_SLOTS[op][pos], stack)
+        return GrammarState("close", stack, None, tail)
+    return GrammarState(_SLOTS[op][pos], stack, None, tail)
 
 
-def _push(stack: tuple, op: str) -> GrammarState:
-    return GrammarState(_SLOTS[op][0], stack + ((op, 0),))
+def _end_child(state: GrammarState, _, rest: dict) -> GrammarState:
+    return _next_child(state.stack, state.tail, rest)
 
 
-def _close(stack: tuple, _) -> GrammarState:
-    return _end_child(stack[:-1])
+def _push(state: GrammarState, op: str, rest: dict) -> GrammarState:
+    return GrammarState(_SLOTS[op][0], state.stack + ((op, 0),), None,
+                        state.tail + rest[op, 0])
+
+
+def _close(state: GrammarState, _, rest: dict) -> GrammarState:
+    stack = state.stack
+    return _next_child(stack[:-1], state.tail - rest[stack[-1]], rest)
+
+
+def _accept(state: GrammarState, _, rest: dict) -> GrammarState:
+    return GrammarState("accepted", (), None, 0)
 
 
 # The token language. A move is (token set, successor). The set names a
-# DecodeContext set, a trie root ("classes", "relations") or "cursor",
+# DecodeTables set, a trie root ("classes", "relations") or "cursor",
 # the children of the current trie node. The successor is a slot,
 # entered with the same stack and, from a trie set, the child as cursor;
 # or it is _push (open the operator the token names), _close (close the
-# top frame) or _end_child (the top frame's current child is complete).
+# top frame), _end_child (the top frame's current child is complete) or
+# _accept (the end token).
 _MOVES = {
     "root": (("open", "root_op"),),
     "root_op": (("root_ops", _push),),
@@ -109,7 +140,7 @@ _MOVES = {
     "lit_tag": (("tags", _end_child),),
     "lit_tag_frac": (("float_tag", _end_child),),
     "close": (("close", _close),),
-    "done": (("end", "accepted"),),
+    "done": (("end", _accept),),
     "accepted": (),
 }
 # Slots inside a schema name or literal: each of their moves extends it.
@@ -117,18 +148,55 @@ _LEXEME = frozenset(("class", "relname", "lit_int", "lit_frac0", "lit_frac",
                      "lit_tag", "lit_tag_frac"))
 # Slots where a complete name or number may end.
 _MAY_END = frozenset(("class", "relname", "lit_int", "lit_frac"))
+# Slots whose state carries a trie cursor, and the trie of each.
+_TRIE_SLOTS = {"class": "class_trie", "relname": "rel_trie"}
+
+
+def _frames_of_slots() -> dict[str, list[tuple[str, int]]]:
+    """For each slot, the top frames it can be entered under: a frame's
+    child starts in the frame's slot and stays under that frame through
+    the slot-to-slot moves."""
+    frames: dict[str, list[tuple[str, int]]] = {}
+    for op, slots in _SLOTS.items():
+        for pos, slot in enumerate(slots):
+            todo, seen = [slot], {slot}
+            while todo:
+                slot = todo.pop()
+                frames.setdefault(slot, []).append((op, pos))
+                for _, then in _MOVES[slot]:
+                    if then.__class__ is str and then not in seen:
+                        seen.add(then)
+                        todo.append(then)
+    return frames
+
+
+_FRAMES_OF_SLOTS = _frames_of_slots()
+
+
+def _next_slot(frame: tuple[str, int]) -> str:
+    """The slot of the frame's next child, or "close"."""
+    op, pos = frame
+    return _SLOTS[op][pos + 1] if pos + 1 < len(_SLOTS[op]) else "close"
+
 
 _MISS = object()
 
 
-class DecodeContext:
-    """Vocabulary-resolved token sets, the two schema tries, the
-    linked-entity constraint, the move table resolved against them, and
-    the allowed_next memo with its sorted-tuple twin for the beam."""
+class DecodeTables:
+    """What decoding reads that the question does not change, for one
+    vocabulary and its two schema tries; read-only once built, so any
+    number of questions may share it:
+    - the token sets, the move table resolved against them, and per
+      slot the union of its move sets;
+    - `mask_ids`: every allowed set that does not read the linked
+      entities, as a sorted tuple under its `mask_key`;
+    - `dist`: per trie node, the tokens to its nearest terminal;
+    - `fill`: per slot without a cursor, the fewest tokens that complete
+      the current child from it;
+    - `rest`: per frame (op, pos), the fewest tokens that fill the
+      frame's slots after pos and close it."""
 
-    def __init__(self, vocab: Vocabulary, class_trie: SchemaTrie,
-                 rel_trie: SchemaTrie,
-                 linked_entities: Sequence[str] = ()):
+    def __init__(self, vocab: Vocabulary, class_trie: SchemaTrie, rel_trie: SchemaTrie):
         self.vocab = vocab
         self.class_trie = class_trie
         self.rel_trie = rel_trie
@@ -142,10 +210,10 @@ class DecodeContext:
         self.float_tag_ids = frozenset((vocab.id("float"),))
         self.root_op_ids = frozenset(vocab.id(op) for op in ROOT_OPERATORS)
         self.nested_op_ids = frozenset(vocab.id(op) for op in NESTED_OPERATORS)
-        self.linked = frozenset(vocab.id(e) for e in linked_entities)
         # Each set maps a token id to its payload: the trie child for a
-        # trie set, the operator for an operator set, else None.
-        sets = {
+        # trie set, the operator for an operator set, else None. The
+        # linked entities are a question's; here the set is empty.
+        self.sets = {
             "open": {self.open_id: None},
             "close": {self.close_id: None},
             "end": {self.end_id: None},
@@ -157,20 +225,138 @@ class DecodeContext:
             "digits": dict.fromkeys(self.digit_ids),
             "tags": dict.fromkeys(self.tag_ids),
             "float_tag": dict.fromkeys(self.float_tag_ids),
-            "linked": dict.fromkeys(self.linked),
+            "linked": {},
             "classes": class_trie.root.children,
             "relations": rel_trie.root.children,
             "cursor": None,
         }
-        self.moves = {slot: tuple((sets[name], then) for name, then in moves)
+        self.moves = {slot: tuple((self.sets[name], then) for name, then in moves)
                       for slot, moves in _MOVES.items()}
         # per slot, the union of its move sets but the trie cursor's
         self.slot_masks = {
             slot: frozenset().union(*(tokens for tokens, _ in moves if tokens is not None))
             for slot, moves in self.moves.items()}
-        self.masks: dict[tuple, frozenset[int]] = {}
-        # the same sets as sorted tuples of ints, under the same keys
-        self.mask_ids: dict[tuple, tuple[int, ...]] = {}
+        # per trie slot, the trie's nodes but the root, each before its children
+        nodes = {slot: _trie_nodes(getattr(self, trie).root)[1:]
+                 for slot, trie in _TRIE_SLOTS.items()}
+        self.dist = _distances([class_trie.root, *nodes["class"]],
+                               [rel_trie.root, *nodes["relname"]])
+        self.fill, self.rest = _fills(self.moves, self.dist)
+        self.mask_ids = self._shared_masks(nodes)
+
+    def _shared_masks(self, nodes: dict[str, list[TrieNode]]) -> dict[tuple, tuple[int, ...]]:
+        """allowed_next of every state whose mask does not read the
+        linked entities, under its mask_key. A may-end state allows its
+        own tokens and those that start the top frame's next child, so
+        a state that may end before the `obj` slot is left out too."""
+        masks: dict[tuple, tuple[int, ...]] = {}
+        ids = {slot: tuple(sorted(mask)) for slot, mask in self.slot_masks.items()}
+
+        def add_ending(slot: str, cursor: Optional[TrieNode], own) -> None:
+            for frame in _FRAMES_OF_SLOTS[slot]:
+                follow = _next_slot(frame)
+                if follow != "obj":
+                    masks[slot, cursor, frame] = (
+                        tuple(sorted(self.slot_masks[follow].union(own))) if own
+                        else ids[follow])
+
+        for slot in _MOVES:
+            if slot in _TRIE_SLOTS:
+                for node in nodes[slot]:
+                    if node.terminal:
+                        add_ending(slot, node, node.children)
+                    else:
+                        masks[slot, node] = tuple(sorted(node.children))
+            elif slot in _MAY_END:
+                add_ending(slot, None, self.slot_masks[slot])
+            elif slot != "obj":
+                masks[slot, None] = ids[slot]
+        return masks
+
+
+def _trie_nodes(root: TrieNode) -> list[TrieNode]:
+    """The trie's nodes, each before its children."""
+    nodes, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        todo.extend(node.children.values())
+    return nodes
+
+
+def _distances(*tries: list[TrieNode]) -> dict[TrieNode, int]:
+    """Per trie node, the tokens to its nearest terminal node; each trie
+    given as its nodes, each before its children."""
+    dist: dict[TrieNode, int] = {}
+    for nodes in tries:
+        for node in reversed(nodes):  # children before their parent
+            children = node.children
+            dist[node] = (0 if node.terminal
+                          else 1 + min(map(dist.__getitem__, children.values())) if children
+                          else NEVER)
+    return dist
+
+
+def _fills(moves: dict, dist: dict) -> tuple[dict[str, int], dict[tuple, int]]:
+    """`fill` per slot without a cursor and `rest` per frame, as the
+    least fixpoint of the move table: a slot costs one token more than
+    the cheapest state a move takes it to."""
+    fill = dict.fromkeys(moves, NEVER)
+    fill.update(close=0, done=0, accepted=0)  # counted by `rest` and `tail`
+    while True:
+        rest = {}
+        for op, slots in _SLOTS.items():
+            total = rest[op, len(slots)] = 1
+            for pos in range(len(slots) - 1, -1, -1):
+                rest[op, pos] = total
+                total += fill[slots[pos]]
+        changed = False
+        for slot, slot_moves in moves.items():
+            if slot in _TRIE_SLOTS or fill[slot] == 0:
+                continue
+            best = 0 if slot in _MAY_END else NEVER
+            for tokens, then in slot_moves:
+                if not tokens:
+                    continue
+                if then is _push:
+                    after = min(fill[_SLOTS[op][0]] + rest[op, 0] for op in tokens.values())
+                elif then is _end_child:
+                    after = 0
+                elif then in _TRIE_SLOTS:
+                    after = min(dist[child] for child in tokens.values())
+                else:
+                    after = fill[then]
+                best = min(best, 1 + after)
+            if best < fill[slot]:
+                fill[slot] = best
+                changed = True
+        if not changed:
+            return fill, rest
+
+
+class DecodeContext:
+    """One question's view of the shared `DecodeTables`: its linked
+    entities, the `obj` slot's moves and mask resolved against them, and
+    `obj_ids`, the memo of the masks that reach the `obj` slot. Every
+    other attribute is read from the tables."""
+
+    def __init__(self, tables: DecodeTables, linked_entities: Sequence[str] = ()):
+        self.tables = tables
+        self.linked = frozenset(tables.vocab.id(e) for e in linked_entities)
+        sets = {**tables.sets, "linked": dict.fromkeys(self.linked)}
+        self.moves = {**tables.moves,
+                      "obj": tuple((sets[name], then) for name, then in _MOVES["obj"])}
+        self.slot_masks = {**tables.slot_masks,
+                           "obj": tables.slot_masks["obj"] | self.linked}
+        # read on every step, so looked up here rather than through the tables
+        self.rest, self.fill, self.dist = tables.rest, tables.fill, tables.dist
+        self.mask_ids = tables.mask_ids
+        self.obj_ids: dict[tuple, tuple[int, ...]] = {}
+
+    def __getattr__(self, name: str):
+        if name == "tables":  # not set yet, as in a copy being rebuilt
+            raise AttributeError(name)
+        return getattr(self.tables, name)
 
 
 def _may_end(state: GrammarState) -> bool:
@@ -184,29 +370,37 @@ def advance(state: GrammarState, token: int,
         hit = (state.cursor.children if tokens is None else tokens).get(token, _MISS)
         if hit is not _MISS:
             if then.__class__ is str:
-                return GrammarState(then, state.stack, hit)
-            return then(state.stack, hit)
+                return GrammarState(then, state.stack, hit, state.tail)
+            return then(state, hit, ctx.rest)
     if _may_end(state):
-        return advance(_end_child(state.stack), token, ctx)
+        return advance(_end_child(state, None, ctx.rest), token, ctx)
     return None
 
 
+def completion(state: GrammarState, ctx: DecodeContext) -> int:
+    """The fewest tokens, the end token included, that take the state to
+    `accepted`; NEVER or more when no tokens do."""
+    cursor = state.cursor
+    return (ctx.fill[state.slot] if cursor is None else ctx.dist[cursor]) + state.tail
+
+
 def mask_key(state: GrammarState) -> tuple:
-    """What the allowed set depends on: slot, trie cursor, top frame."""
-    return (state.slot, state.cursor, state.stack[-1:])
+    """What the allowed set depends on: the slot and the trie cursor, and
+    the top frame where the current child may end, since the tokens
+    that start the frame's next child are then allowed too."""
+    if _may_end(state):
+        return (state.slot, state.cursor, state.stack[-1])
+    return (state.slot, state.cursor)
 
 
 def allowed_next(state: GrammarState, ctx: DecodeContext) -> frozenset[int]:
-    """Exactly the token ids advance() accepts in this state."""
-    key = mask_key(state)
-    mask = ctx.masks.get(key)
-    if mask is None:
-        mask = ctx.slot_masks[state.slot]
-        if state.cursor is not None:
-            mask = mask.union(state.cursor.children)
-        if _may_end(state):
-            mask = mask.union(allowed_next(_end_child(state.stack), ctx))
-        ctx.masks[key] = mask
+    """Exactly the token ids advance() accepts in this state, computed
+    afresh from the slot masks (the tables keep them memoised)."""
+    mask = ctx.slot_masks[state.slot]
+    if state.cursor is not None:
+        mask = mask.union(state.cursor.children)
+    if _may_end(state):
+        mask = mask.union(allowed_next(_end_child(state, None, ctx.rest), ctx))
     return mask
 
 

@@ -13,6 +13,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import vocab as vocab_mod
@@ -20,14 +21,14 @@ from .beam import Hypothesis, TokenScorer, beam_search
 from .enumerator import EnumConfig, StartPoint, enumerate_elfs
 from .errors import DataError, KbqaError, TokenizeError
 from .executor import evaluate, is_valid_prediction
-from .grammar import DecodeContext, render_tokens
+from .grammar import DecodeContext, DecodeTables, render_tokens
 from .retrieve import (LinkedEntity, Question, ScoredCandidate, Scorer,
                        build_lexical_scorer, link_question, rank_elfs,
                        retrieve_schema)
 from .scorers import UniformScorer
 from .sexpr import parse, print_canonical
 from .store import NUMBER_RE, LiteralValue, TripleStore, read_rows
-from .trie import SchemaTrie, build_trie
+from .trie import build_trie
 from .vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, Vocabulary,
                     build_vocabulary, encode_logical_form, encode_text,
                     raw_join)
@@ -260,6 +261,14 @@ class PipelineConfig:
     enum: EnumConfig = field(default_factory=EnumConfig)
     dump_context: bool = False
 
+    def __post_init__(self):
+        # the ranges of the CLI flags
+        for name, low in (("beam_size", 1), ("max_output_tokens", 1), ("input_budget", 0),
+                          ("top_schema", 0), ("top_elf", 0), ("max_mention_len", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+
 
 def start_points(question: Question,
                  links: Sequence[LinkedEntity]) -> list[StartPoint]:
@@ -302,8 +311,9 @@ class Prepared:
 
 
 class Pipeline:
-    """Prebuilds the vocabulary, tries, and scorers for one store; then
-    answers questions. Safe for concurrent predict() calls; decoding is
+    """Prebuilds the vocabulary, the decode tables and the scorers for
+    one store; then answers questions. Safe for concurrent predict()
+    calls: the tables are read-only once built, and decoding is
     serialized while the token scorer is not reentrant."""
 
     def __init__(self, store: TripleStore, cfg: PipelineConfig = PipelineConfig(),
@@ -313,8 +323,8 @@ class Pipeline:
         self.store = store
         self.cfg = cfg
         self.vocab = build_vocabulary(store, extra_vocab_texts)
-        self.class_trie: SchemaTrie = build_trie(store.classes(), self.vocab)
-        self.rel_trie: SchemaTrie = build_trie(store.relations(), self.vocab)
+        self.tables = DecodeTables(self.vocab, build_trie(store.classes(), self.vocab),
+                                   build_trie(store.relations(), self.vocab))
         self.text_scorer = text_scorer or build_lexical_scorer(store)
         if token_scorer is None:
             self.token_scorer: TokenScorer = UniformScorer(self.vocab.size)
@@ -354,42 +364,46 @@ class Pipeline:
             store=self.store))
         return Prepared(links, ranked_elfs, context, timing, errors)
 
-    def decode(self, prepared: Prepared) -> list[tuple[Hypothesis, str]]:
+    def decode(self, prepared: Prepared) -> Iterator[tuple[Hypothesis, str]]:
         """Beam hypotheses in rank order, each with its rendered text; a
-        failed decode degrades to none, recorded under "decode"."""
-        decode_ctx = DecodeContext(
-            self.vocab, self.class_trie, self.rel_trie,
-            [link.entity for link in prepared.links])
+        failed decode degrades to none, recorded under "decode".
+
+        The search runs, and is timed, here. The texts are rendered
+        lazily, each when the iteration reaches its hypothesis, so a
+        caller that stops early renders no more than it reads; that
+        time falls outside timing["decode"]."""
+        decode_ctx = DecodeContext(self.tables, [link.entity for link in prepared.links])
 
         def search():
             scorer = self.token_scorer
             reentrant = getattr(scorer, "reentrant", True)
             with nullcontext() if reentrant else self._scorer_lock:
-                hypotheses = beam_search(
+                return beam_search(
                     scorer, prepared.context.token_ids, decode_ctx,
                     constrained=self.cfg.constrained, beam_size=self.cfg.beam_size,
                     max_len=self.cfg.max_output_tokens)
-            return [(hyp, render_tokens(hyp.tokens, decode_ctx)
-                     or raw_join(self.vocab, hyp.tokens, skip={self.vocab.end_id}))
-                    for hyp in hypotheses]
-        return _timed_stage(prepared.timing, "decode", search,
-                            prepared.stage_errors, [])
+        hypotheses = _timed_stage(prepared.timing, "decode", search,
+                                  prepared.stage_errors, [])
+        end = {self.vocab.end_id}
+        return ((hyp, render_tokens(hyp.tokens, decode_ctx)
+                 or raw_join(self.vocab, hyp.tokens, skip=end)) for hyp in hypotheses)
 
     # -- end to end --------------------------------------------------------
 
     def predict(self, question_text: str, qid: str = "q0") -> Prediction:
         """The first candidate that passes the execution check wins:
         generated hypotheses in beam order, then the ranked exemplary
-        forms. Only errors with no fallback escape."""
+        forms. A hypothesis is rendered only when the check reaches it,
+        within timing["validate"]. Only errors with no fallback escape."""
         clock = time.perf_counter
         t_start = clock()
         prepared = self.prepare(question_text)
         decoded = self.decode(prepared)
 
         t0 = clock()
-        candidates = [(text, "generated", rank) for rank, (_, text) in enumerate(decoded)]
-        candidates += [(cand.candidate, "elf-fallback", None)
-                       for cand in prepared.ranked_elfs]
+        candidates = chain(
+            ((text, "generated", rank) for rank, (_, text) in enumerate(decoded)),
+            ((cand.candidate, "elf-fallback", None) for cand in prepared.ranked_elfs))
         chosen_form: Optional[str] = None
         answers: Optional[tuple[str, ...]] = None
         provenance, beam_rank = "none", None

@@ -17,7 +17,7 @@ from kbqa.beam import beam_search
 from kbqa.enumerator import EnumConfig, StartPoint, enumerate_elfs
 from kbqa.executor import compile_sparql, evaluate, evaluate_sparql_subset, is_valid_prediction
 from kbqa.fixtures import synthetic_store, toy_store
-from kbqa.grammar import DecodeContext, render_tokens
+from kbqa.grammar import DecodeContext, DecodeTables, render_tokens
 from kbqa.metrics import answer_f1, evaluate_dataset, exact_match, hits_at_1
 from kbqa.pipeline import Pipeline, PipelineConfig, QAExample
 from kbqa.retrieve import ranker_loss
@@ -198,15 +198,15 @@ def test_criterion_1_constrained_validity_and_direction():
     prepared = []
     for store in stores:
         vocab = build_vocabulary(store)
-        class_trie = build_trie(store.classes(), vocab)
-        rel_trie = build_trie(store.relations(), vocab)
+        tables = DecodeTables(vocab, build_trie(store.classes(), vocab),
+                              build_trie(store.relations(), vocab))
         entities = sorted(store.all_entities())
-        prepared.append((store, vocab, class_trie, rel_trie, entities))
+        prepared.append((store, vocab, tables, entities))
     finished_total = 0
     for run in range(1000):
-        store, vocab, class_trie, rel_trie, entities = prepared[run % len(prepared)]
+        store, vocab, tables, entities = prepared[run % len(prepared)]
         linked = entities[:1 + (run % 3)]
-        ctx = DecodeContext(vocab, class_trie, rel_trie, linked)
+        ctx = DecodeContext(tables, linked)
         hyps = beam_search(RandomTokenScorer(vocab.size, seed=run), (), ctx,
                            constrained=True, beam_size=4, max_len=48)
         for hyp in hyps:
@@ -222,8 +222,8 @@ def test_criterion_1_constrained_validity_and_direction():
     case = CASES[2]
     extra = [case.question, " ".join(case.extra_words)]
     vocab = build_vocabulary(case.store, extra)
-    ctx = DecodeContext(vocab, build_trie(case.store.classes(), vocab),
-                        build_trie(case.store.relations(), vocab), ())
+    ctx = DecodeContext(DecodeTables(vocab, build_trie(case.store.classes(), vocab),
+                                     build_trie(case.store.relations(), vocab)))
     error_target = tuple(encode_logical_form(vocab, case.error_variant)) + (vocab.end_id,)
     hyps = beam_search(OracleScorer(error_target, vocab.size, eps=0.0), (), ctx,
                        constrained=False, beam_size=4, max_len=64)

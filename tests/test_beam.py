@@ -6,7 +6,8 @@ import pytest
 
 from kbqa.beam import Hypothesis, beam_search, sequence_nll
 from kbqa.fixtures import toy_store
-from kbqa.grammar import DecodeContext, advance, allowed_next, initial_state, render_tokens
+from kbqa.grammar import (DecodeContext, DecodeTables, advance, allowed_next, completion,
+                          initial_state, render_tokens)
 from kbqa.scorers import (NgramScorer, OracleScorer, SparseRow, UniformScorer,
                           ngram_scorer_from_forms)
 from kbqa.sexpr import parse, print_canonical, validate_schema
@@ -19,8 +20,9 @@ from randgen import RandomTokenScorer, random_store
 def make_ctx(store=None, linked=("e1", "ox1", "eng1"), extra=()):
     store = store or toy_store()
     vocab = build_vocabulary(store, extra)
-    ctx = DecodeContext(vocab, build_trie(store.classes(), vocab),
-                        build_trie(store.relations(), vocab), linked)
+    tables = DecodeTables(vocab, build_trie(store.classes(), vocab),
+                          build_trie(store.relations(), vocab))
+    ctx = DecodeContext(tables, linked)
     return ctx, store
 
 
@@ -270,7 +272,9 @@ def test_log_prob_non_increasing_along_path():
 def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
                           max_len=128):
     """The beam step as a Python sort over every allowed child, kept as
-    the reference for the array-level step."""
+    the reference for the array-level step. It has no exit on the
+    shortest completion, so it runs until max_len or the k-th best
+    finished hypothesis stops it."""
     def quantize(score):
         return round(score, 9)
 
@@ -348,15 +352,85 @@ def test_array_step_matches_reference_loop():
         for seed, scorer in scorers.items():
             for constrained in (True, False):
                 for beam_size in (1, 3, 10):
-                    got = beam_search(scorer, (), ctx, constrained=constrained,
+                    counted, reference = CountingScorer(scorer), CountingScorer(scorer)
+                    got = beam_search(counted, (), ctx, constrained=constrained,
                                       beam_size=beam_size, max_len=40)
-                    want = reference_beam_search(scorer, (), ctx, constrained=constrained,
+                    want = reference_beam_search(reference, (), ctx,
+                                                 constrained=constrained,
                                                  beam_size=beam_size, max_len=40)
                     assert got == want, (n, seed, constrained, beam_size)
                     assert [h.log_prob.hex() for h in got] == \
                         [h.log_prob.hex() for h in want]
+                    assert counted.calls <= reference.calls
                     compared += len(got)
     assert compared > 100
+
+
+class CountingScorer:
+    """Forwards next_log_probs and counts the calls."""
+    reentrant = True
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def next_log_probs(self, context, prefix):
+        self.calls += 1
+        return self.inner.next_log_probs(context, prefix)
+
+
+def test_max_len_below_the_shortest_form_costs_one_row():
+    """With max_len one below the shortest valid form, no hypothesis can
+    finish, and the search stops after its first row; without the exit
+    it would spend up to max_len rows per beam slot. At the shortest
+    form's length, an oracle for that form finds it."""
+    ctx, _ = make_ctx()
+    shortest = completion(initial_state(), ctx)
+    target = encode_target(ctx, "(COUNT sf.engine)")
+    assert shortest == len(target) == 7
+    for scorer in (UniformScorer(ctx.vocab.size),
+                   OracleScorer(target, ctx.vocab.size, eps=0.0)):
+        counted = CountingScorer(scorer)
+        assert beam_search(counted, (), ctx, beam_size=10, max_len=shortest - 1) == []
+        assert counted.calls == 1
+    hyps = beam_search(OracleScorer(target, ctx.vocab.size, eps=0.0), (), ctx,
+                       max_len=shortest)
+    assert [h.tokens for h in hyps] == [target]
+
+
+class NeverClosingScorer:
+    """Random rows in which the close token is -inf, as a weak model that
+    only nests deeper; along the prefixes of `target`, its next token
+    gets log-prob 0, so that one form finishes first."""
+    reentrant = True
+
+    def __init__(self, ctx, seed, target=()):
+        self.rows = RandomTokenScorer(ctx.vocab.size, seed=seed)
+        self.close_id, self.target = ctx.close_id, tuple(target)
+
+    def next_log_probs(self, context, prefix):
+        row = np.array(self.rows.next_log_probs(context, prefix), dtype=float)
+        row[self.close_id] = -math.inf
+        prefix = tuple(prefix)
+        if len(prefix) < len(self.target) and self.target[:len(prefix)] == prefix:
+            row[self.target[len(prefix)]] = 0.0
+        return row
+
+
+def test_exit_when_no_hypothesis_can_finish():
+    """A scorer that never closes a form: at max_len=40 the search
+    returns exactly the reference's hypotheses, log_prob bits included,
+    from strictly fewer scorer rows."""
+    ctx, _ = make_ctx()
+    target = encode_target(ctx, "(COUNT sf.engine)")
+    for want_found, closes in ((0, ()), (1, target)):
+        for seed in range(3):
+            counted = CountingScorer(NeverClosingScorer(ctx, seed, closes))
+            reference = CountingScorer(NeverClosingScorer(ctx, seed, closes))
+            got = beam_search(counted, (), ctx, beam_size=10, max_len=40)
+            want = reference_beam_search(reference, (), ctx, beam_size=10, max_len=40)
+            assert got == want and len(got) == want_found
+            assert [h.log_prob.hex() for h in got] == [h.log_prob.hex() for h in want]
+            assert counted.calls < reference.calls
 
 
 class TiedScorer:

@@ -1,19 +1,24 @@
 import random
 
+from kbqa.beam import _allowed_ids
 from kbqa.fixtures import toy_store
-from kbqa.grammar import (DecodeContext, advance, allowed_next, initial_state,
-                          render_tokens)
+from kbqa.grammar import (_SLOTS, NEVER, DecodeContext, DecodeTables, advance, allowed_next,
+                          completion, initial_state, render_tokens)
+from kbqa.pipeline import Pipeline
 from kbqa.sexpr import parse, print_canonical, validate_schema
 from kbqa.store import LiteralValue, StoreBuilder
 from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
 
+from randgen import random_store
+
 
 def make_ctx(store=None, linked=("e1", "ox1")):
     store = store or toy_store()
     vocab = build_vocabulary(store)
-    return DecodeContext(vocab, build_trie(store.classes(), vocab),
-                         build_trie(store.relations(), vocab), linked), store
+    tables = DecodeTables(vocab, build_trie(store.classes(), vocab),
+                          build_trie(store.relations(), vocab))
+    return DecodeContext(tables, linked), store
 
 
 def replay(ctx, ids):
@@ -167,30 +172,77 @@ def prefix_store():
     return builder.freeze()
 
 
+def shortest_completion(state, ctx, limit):
+    """The fewest tokens that take the state to accepted, by a
+    breadth-first search over advance that goes at most `limit` tokens
+    deep; None when it takes more. Each state tries the tokens of its
+    shared mask, which the caller checks against advance at every state
+    it visits. A state is cut when even one token per unfilled slot and
+    per close cannot finish in time, a bound that reads only the
+    operators' arities."""
+    def lower_bound(s):
+        return 1 + sum(max(len(_SLOTS[op]) - pos, 1) for op, pos in s.stack)
+
+    if state.finished:
+        return 0
+    frontier, seen = [state], {state}
+    for depth in range(1, limit + 1):
+        reached = []
+        for s in frontier:
+            for token in _allowed_ids(s, ctx):
+                child = advance(s, token, ctx)
+                if child.finished:
+                    return depth
+                if child not in seen and depth + lower_bound(child) <= limit:
+                    seen.add(child)
+                    reached.append(child)
+        frontier = reached
+    return None
+
+
 def test_replay_check_over_random_walks():
-    """At every state of a grammar-guided random walk, allowed_next is
-    exactly the set of tokens advance accepts (masking semantics) and
-    equals the mask of a fresh context (the memo is exact), and
-    finished walks parse."""
-    for store, linked in [(toy_store(), ("e1", "ox1")), (prefix_store(), ("e1", "e2"))]:
-        ctx, store = make_ctx(store, linked)
+    """At every state of a grammar-guided random walk, on the toy store,
+    prefix_store() and 8 random stores:
+    - allowed_next is exactly the set of tokens advance accepts (masking
+      semantics), and the mask read from a Pipeline's shared tables
+      equals it (the tables are exact), or from the question's memo for
+      the masks that reach the obj slot, and only for those;
+    - the tables' completion equals a breadth-first search over
+      advance, and each child's completion is at least its parent's
+      minus 1;
+    and finished walks parse and validate."""
+    rng = random.Random(20261021)
+    stores = [(toy_store(), ("e1", "ox1")), (prefix_store(), ("e1", "e2"))]
+    for n in range(8):
+        store = random_store(rng, max_entities=20)
+        stores.append((store, sorted(store.all_entities())[:1 + n % 3]))
+    open_terminals = 0  # visits to a complete name that can go on
+    for store, linked in stores:
+        ctx = DecodeContext(Pipeline(store).tables, linked)
         vocabulary = range(ctx.vocab.size)
-        rng = random.Random(8)
+        walks = random.Random(8)
         finished = 0
-        open_terminals = 0  # visits to a complete name that can go on
+        checked = set()
         for _ in range(300):
             state = initial_state()
             ids = []
             for _ in range(60):
                 allowed = allowed_next(state, ctx)
-                assert allowed == {t for t in vocabulary if advance(state, t, ctx) is not None}
-                fresh = DecodeContext(ctx.vocab, ctx.class_trie, ctx.rel_trie, linked)
-                assert allowed == allowed_next(state, fresh)
+                if state not in checked:  # each check's outcome depends on the state only
+                    checked.add(state)
+                    assert allowed == {t for t in vocabulary
+                                       if advance(state, t, ctx) is not None}
+                    assert _allowed_ids(state, ctx) == tuple(sorted(allowed))
+                    need = completion(state, ctx)
+                    assert need < NEVER
+                    assert shortest_completion(state, ctx, need) == need, (state, need)
+                    for token in allowed:
+                        assert completion(advance(state, token, ctx), ctx) >= need - 1
                 if state.cursor is not None and state.cursor.terminal and state.cursor.children:
                     open_terminals += 1
                 if not allowed:
                     break
-                token = rng.choice(sorted(allowed))
+                token = walks.choice(sorted(allowed))
                 ids.append(token)
                 new_state = advance(state, token, ctx)
                 assert new_state is not None  # allowed implies legal
@@ -203,6 +255,11 @@ def test_replay_check_over_random_walks():
                 form = parse(text)
                 assert validate_schema(form, store) == []
         assert finished > 50
+        # the question's own memo holds only the masks that reach the obj
+        # slot: the slot itself, or a complete relation name in JOIN
+        assert ctx.obj_ids
+        assert all(key[0] == "obj" or key[0] == "relname" and key[2] == ("JOIN", 0)
+                   for key in ctx.obj_ids)
     assert open_terminals > 0
 
 

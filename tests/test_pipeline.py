@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 
 import pytest
 
@@ -14,8 +16,9 @@ from kbqa.scorers import OracleScorer, UniformScorer
 from kbqa.sexpr import EntityRef, Join, Reverse, canonicalize, parse, print_canonical
 from kbqa.store import LiteralValue, StoreBuilder
 from kbqa.vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, build_vocabulary,
-                        encode_logical_form)
+                        encode_logical_form, encode_target)
 
+from randgen import random_store
 from references import case_disconnected_relation
 
 
@@ -288,6 +291,83 @@ def test_predict_batch_order_and_workers(toy):
         [f"q{i}" for i in range(6)]
     assert all(s.logical_form == t.logical_form
                for s, t in zip(serial, threaded))
+
+
+def multi_entity_case(n_questions):
+    """A random store, questions that each name one to three of its
+    labelled entities, and a pipeline whose token scorer is an eps-0.2
+    oracle over forms around those entities, so that some answers come
+    from the beam and some from the exemplary forms."""
+    rng = random.Random(5)
+    store = random_store(rng, max_entities=30)
+    labelled = [e for e in sorted(store.all_entities()) if store.entity_label(e) not in ("", e)]
+    forms = [f for e in labelled for f in enumerate_elfs([StartPoint.entity(e)], store)][::7]
+
+    def factory(vocab):
+        targets = [encode_target(vocab, form) for form in forms]
+        return OracleScorer(targets[0], vocab.size, eps=0.2, fallback_targets=targets[1:],
+                            rng_seed=1)
+    pipe = Pipeline(store, PipelineConfig(beam_size=4, max_output_tokens=48),
+                    token_scorer=factory)
+    examples = [QAExample(f"q{i}", "which " + " and ".join(
+        store.entity_label(e) for e in rng.sample(labelled, 1 + i % 3)))
+        for i in range(n_questions)]
+    return pipe, examples
+
+
+def without_timing(prediction):
+    record = prediction.to_json()
+    del record["timing"]
+    return record
+
+
+def test_predict_batch_threads_match_serial_with_several_links():
+    """Four threads share the pipeline's decode tables, each question
+    with its own linked entities, and answer exactly as one thread; the
+    threads switch every microsecond, so that their decodes interleave."""
+    pipe, examples = multi_entity_case(40)
+    assert max(len(pipe.prepare(ex.question).links) for ex in examples) >= 3
+    serial = pipe.predict_batch(examples, workers=1)
+    assert {p.provenance for p in serial} == {"generated", "elf-fallback"}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = pipe.predict_batch(examples, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [without_timing(p) for p in threaded] == [without_timing(p) for p in serial]
+
+
+def table_contents(tables):
+    """Every attribute of the tables, each dict and each token set copied."""
+    contents = {name: dict(value) if isinstance(value, dict) else value
+                for name, value in vars(tables).items()}
+    contents["sets"] = {name: None if tokens is None else dict(tokens)
+                        for name, tokens in tables.sets.items()}
+    return contents
+
+
+def test_predicts_leave_the_decode_tables_unchanged():
+    pipe, examples = multi_entity_case(100)
+    tables = pipe.tables
+    before = table_contents(tables)
+    for ex in examples:
+        pipe.predict(ex.question, ex.qid)
+    assert pipe.tables is tables
+    assert table_contents(tables) == before
+    assert tables.sets["linked"] == {}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beam_size", 0), ("max_output_tokens", 0), ("input_budget", -1),
+    ("top_schema", -1), ("top_elf", -1), ("max_mention_len", 0)])
+def test_config_rejects_values_outside_the_cli_ranges(field, value):
+    """top_schema=-1 kept all but the last k schema names, and
+    beam_size=0 made every predict raise from inside the decoder."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        PipelineConfig(**{field: value})
+    low = value + 1
+    assert getattr(PipelineConfig(**{field: low}), field) == low
 
 
 def test_generated_predictions_revalidate(toy):
