@@ -236,11 +236,10 @@ class DecodeTables:
         self.slot_masks = {
             slot: frozenset().union(*(tokens for tokens, _ in moves if tokens is not None))
             for slot, moves in self.moves.items()}
-        # per trie slot, the trie's nodes but the root, each before its children
-        nodes = {slot: _trie_nodes(getattr(self, trie).root)[1:]
+        # per trie slot, the trie's nodes, each before its children
+        nodes = {slot: _trie_nodes(getattr(self, trie).root)
                  for slot, trie in _TRIE_SLOTS.items()}
-        self.dist = _distances([class_trie.root, *nodes["class"]],
-                               [rel_trie.root, *nodes["relname"]])
+        self.dist = _distances(*nodes.values())
         self.fill, self.rest = _fills(self.moves, self.dist)
         self.mask_ids = self._shared_masks(nodes)
 
@@ -262,7 +261,7 @@ class DecodeTables:
 
         for slot in _MOVES:
             if slot in _TRIE_SLOTS:
-                for node in nodes[slot]:
+                for node in nodes[slot][1:]:  # a cursor is never the root
                     if node.terminal:
                         add_ending(slot, node, node.children)
                     else:
