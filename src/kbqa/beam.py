@@ -68,7 +68,7 @@ def _allowed_ids(state: GrammarState, ctx: DecodeContext) -> tuple[int, ...]:
     """allowed_next as a sorted tuple: read from the shared tables, or,
     for a mask that reaches the obj slot, from the question's memo."""
     key = mask_key(state)
-    ids = ctx.mask_ids.get(key)
+    ids = ctx.tables.mask_ids.get(key)
     if ids is None:
         ids = ctx.obj_ids.get(key)
         if ids is None:
@@ -100,7 +100,7 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
     hypothesis any more."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    end_id = ctx.end_id
+    end_id = ctx.tables.end_id
     # The live beam as (tokens, log_prob, state), kept in token order.
     live = [((), 0.0, initial_state())]
     finished: list[Hypothesis] = []

@@ -65,6 +65,11 @@ def _ranged(kind: type, low: float, high: float = math.inf, above: bool = False)
     return parse
 
 
+def _config_range(name: str):
+    """The argparse type of a PipelineConfig field's flag."""
+    return _ranged(int, PipelineConfig.MINIMUMS[name])
+
+
 _DEFAULT = PipelineConfig()
 
 # Every flag once, in --help order. `_COMMANDS` names the ones each
@@ -77,14 +82,16 @@ _FLAGS = {
                      help="triple file format (default: by extension)"),
     "--type-relation": dict(default="type_rel"),
     "--seed": dict(type=int, default=0),
-    "--beam-size": dict(type=_ranged(int, 1), default=_DEFAULT.beam_size),
-    "--max-output-tokens": dict(type=_ranged(int, 1), default=_DEFAULT.max_output_tokens),
-    "--input-budget": dict(type=_ranged(int, 0), default=_DEFAULT.input_budget),
-    "--top-schema": dict(type=_ranged(int, 0), default=_DEFAULT.top_schema),
-    "--top-elf": dict(type=_ranged(int, 0), default=_DEFAULT.top_elf),
+    "--beam-size": dict(type=_config_range("beam_size"), default=_DEFAULT.beam_size),
+    "--max-output-tokens": dict(type=_config_range("max_output_tokens"),
+                                default=_DEFAULT.max_output_tokens),
+    "--input-budget": dict(type=_config_range("input_budget"), default=_DEFAULT.input_budget),
+    "--top-schema": dict(type=_config_range("top_schema"), default=_DEFAULT.top_schema),
+    "--top-elf": dict(type=_config_range("top_elf"), default=_DEFAULT.top_elf),
     "--hop-limit": dict(type=int, choices=[1, 2], default=_DEFAULT.enum.hop_limit),
     "--max-candidates": dict(type=_ranged(int, 0), default=_DEFAULT.enum.max_candidates),
-    "--max-mention-len": dict(type=_ranged(int, 1), default=_DEFAULT.max_mention_len),
+    "--max-mention-len": dict(type=_config_range("max_mention_len"),
+                              default=_DEFAULT.max_mention_len),
     "--constrained": dict(action="store_true", default=_DEFAULT.constrained),
     "--unconstrained": dict(dest="constrained", action="store_false"),
     "--scorer": dict(default="uniform", help="generation scorer: lexical|uniform|"

@@ -25,10 +25,11 @@ What does not depend on the question is built once per vocabulary and
 catalog, in `DecodeTables`, and is read-only afterwards: the move table
 and slot masks resolved to token ids, and every allowed set as a sorted
 tuple under its `mask_key` (a mask reads only the slot, the trie cursor
-and, where the current child may end, the top frame). Only the `obj`
-slot reads the question, through its linked entities, so a
-`DecodeContext` holds just those, the `obj` slot resolved against them,
-and a memo of the masks that reach that slot.
+and, where the current child may end, the slot that the top frame's
+next child starts in). Only the `obj` slot reads the question, through
+its linked entities, so a `DecodeContext` holds just those, the `obj`
+slot resolved against them, and a memo of the masks that reach that
+slot.
 
 The tables also hold the shortest completion. A state carries `tail`,
 the tokens its open frames need once the current child is complete:
@@ -61,6 +62,11 @@ _SLOTS = {
     "R": ("rel_bare",),
 }
 
+# Per frame (op, pos), the slot its next child starts in, or "close".
+# No such slot is one where a child may end (`_MAY_END`).
+_FOLLOW = {(op, pos): slots[pos + 1] if pos + 1 < len(slots) else "close"
+           for op, slots in _SLOTS.items() for pos in range(len(slots))}
+
 # A completion of at least this many tokens means that none exists.
 NEVER = 1 << 30
 
@@ -90,10 +96,7 @@ def _next_child(stack: tuple, tail: int, rest: dict) -> GrammarState:
     op, pos = top
     pos += 1
     stack = stack[:-1] + ((op, pos),)
-    tail += rest[op, pos] - rest[top]
-    if pos >= len(_SLOTS[op]):
-        return GrammarState("close", stack, None, tail)
-    return GrammarState(_SLOTS[op][pos], stack, None, tail)
+    return GrammarState(_FOLLOW[top], stack, None, tail + rest[op, pos] - rest[top])
 
 
 def _end_child(state: GrammarState, _, rest: dict) -> GrammarState:
@@ -173,12 +176,6 @@ def _frames_of_slots() -> dict[str, list[tuple[str, int]]]:
 _FRAMES_OF_SLOTS = _frames_of_slots()
 
 
-def _next_slot(frame: tuple[str, int]) -> str:
-    """The slot of the frame's next child, or "close"."""
-    op, pos = frame
-    return _SLOTS[op][pos + 1] if pos + 1 < len(_SLOTS[op]) else "close"
-
-
 _MISS = object()
 
 
@@ -186,8 +183,9 @@ class DecodeTables:
     """What decoding reads that the question does not change, for one
     vocabulary and its two schema tries; read-only once built, so any
     number of questions may share it:
-    - the token sets, the move table resolved against them, and per
-      slot the union of its move sets;
+    - the token sets, the move table resolved against them for a
+      question with no linked entities, and per slot the union of its
+      move sets;
     - `mask_ids`: every allowed set that does not read the linked
       entities, as a sorted tuple under its `mask_key`;
     - `dist`: per trie node, the tokens to its nearest terminal;
@@ -211,8 +209,7 @@ class DecodeTables:
         self.root_op_ids = frozenset(vocab.id(op) for op in ROOT_OPERATORS)
         self.nested_op_ids = frozenset(vocab.id(op) for op in NESTED_OPERATORS)
         # Each set maps a token id to its payload: the trie child for a
-        # trie set, the operator for an operator set, else None. The
-        # linked entities are a question's; here the set is empty.
+        # trie set, the operator for an operator set, else None.
         self.sets = {
             "open": {self.open_id: None},
             "close": {self.close_id: None},
@@ -225,13 +222,12 @@ class DecodeTables:
             "digits": dict.fromkeys(self.digit_ids),
             "tags": dict.fromkeys(self.tag_ids),
             "float_tag": dict.fromkeys(self.float_tag_ids),
-            "linked": {},
             "classes": class_trie.root.children,
             "relations": rel_trie.root.children,
             "cursor": None,
         }
-        self.moves = {slot: tuple((self.sets[name], then) for name, then in moves)
-                      for slot, moves in _MOVES.items()}
+        # the move table of a question with no linked entities
+        self.moves = {slot: self._resolve(slot, {}) for slot in _MOVES}
         # per slot, the union of its move sets but the trie cursor's
         self.slot_masks = {
             slot: frozenset().union(*(tokens for tokens, _ in moves if tokens is not None))
@@ -243,33 +239,40 @@ class DecodeTables:
         self.fill, self.rest = _fills(self.moves, self.dist)
         self.mask_ids = self._shared_masks(nodes)
 
+    def _resolve(self, slot: str, linked: dict) -> tuple:
+        """The slot's moves with each set name resolved: "linked" to the
+        given linked entities, any other to its set here."""
+        return tuple((linked if name == "linked" else self.sets[name], then)
+                     for name, then in _MOVES[slot])
+
     def _shared_masks(self, nodes: dict[str, list[TrieNode]]) -> dict[tuple, tuple[int, ...]]:
-        """allowed_next of every state whose mask does not read the
-        linked entities, under its mask_key. A may-end state allows its
-        own tokens and those that start the top frame's next child, so
-        a state that may end before the `obj` slot is left out too."""
+        """allowed_next under its mask_key, for every key whose mask does
+        not read the linked entities: the obj slot's, and a complete
+        name's whose frame goes on to the obj slot, are left out. Each
+        mask is that of one state with the key: with no frame or, where
+        the current child may end, under one frame that goes on to the
+        key's slot."""
+        ctx = DecodeContext(self)
         masks: dict[tuple, tuple[int, ...]] = {}
-        ids = {slot: tuple(sorted(mask)) for slot, mask in self.slot_masks.items()}
-
-        def add_ending(slot: str, cursor: Optional[TrieNode], own) -> None:
-            for frame in _FRAMES_OF_SLOTS[slot]:
-                follow = _next_slot(frame)
-                if follow != "obj":
-                    masks[slot, cursor, frame] = (
-                        tuple(sorted(self.slot_masks[follow].union(own))) if own
-                        else ids[follow])
-
         for slot in _MOVES:
-            if slot in _TRIE_SLOTS:
-                for node in nodes[slot][1:]:  # a cursor is never the root
-                    if node.terminal:
-                        add_ending(slot, node, node.children)
-                    else:
-                        masks[slot, node] = tuple(sorted(node.children))
-            elif slot in _MAY_END:
-                add_ending(slot, None, self.slot_masks[slot])
-            elif slot != "obj":
-                masks[slot, None] = ids[slot]
+            if slot == "obj":
+                continue
+            # per slot that a child ending here goes on to, one top frame
+            frames = {_FOLLOW[frame]: frame for frame in _FRAMES_OF_SLOTS.get(slot, ())}
+            frames.pop("obj", None)
+            # no cursor stands for every trie leaf (see mask_key); the
+            # root is never a cursor
+            inner = ([node for node in nodes[slot][1:] if node.children]
+                     if slot in _TRIE_SLOTS else ())
+            for cursor in (None, *inner):
+                if cursor is not None and not cursor.terminal:
+                    # inside a name, the slot's one move is the cursor's
+                    masks[slot, cursor] = tuple(sorted(cursor.children))
+                    continue
+                state = GrammarState(slot, (), cursor)
+                for state in ([GrammarState(slot, (frame,), cursor) for frame in frames.values()]
+                              if _may_end(state) else (state,)):
+                    masks[mask_key(state)] = tuple(sorted(allowed_next(state, ctx)))
         return masks
 
 
@@ -304,11 +307,13 @@ def _fills(moves: dict, dist: dict) -> tuple[dict[str, int], dict[tuple, int]]:
     fill.update(close=0, done=0, accepted=0)  # counted by `rest` and `tail`
     while True:
         rest = {}
+        opened = {}  # per operator, the tokens its frame needs once opened
         for op, slots in _SLOTS.items():
             total = rest[op, len(slots)] = 1
             for pos in range(len(slots) - 1, -1, -1):
                 rest[op, pos] = total
                 total += fill[slots[pos]]
+            opened[op] = total
         changed = False
         for slot, slot_moves in moves.items():
             if slot in _TRIE_SLOTS or fill[slot] == 0:
@@ -318,11 +323,11 @@ def _fills(moves: dict, dist: dict) -> tuple[dict[str, int], dict[tuple, int]]:
                 if not tokens:
                     continue
                 if then is _push:
-                    after = min(fill[_SLOTS[op][0]] + rest[op, 0] for op in tokens.values())
+                    after = min(map(opened.__getitem__, tokens.values()))
                 elif then is _end_child:
                     after = 0
                 elif then in _TRIE_SLOTS:
-                    after = min(dist[child] for child in tokens.values())
+                    after = min(map(dist.__getitem__, tokens.values()))
                 else:
                     after = fill[then]
                 best = min(best, 1 + after)
@@ -334,28 +339,18 @@ def _fills(moves: dict, dist: dict) -> tuple[dict[str, int], dict[tuple, int]]:
 
 
 class DecodeContext:
-    """One question's view of the shared `DecodeTables`: its linked
-    entities, the `obj` slot's moves and mask resolved against them, and
-    `obj_ids`, the memo of the masks that reach the `obj` slot. Every
-    other attribute is read from the tables."""
+    """One question's view of the shared `tables`: its linked entities,
+    the move table and slot masks with the `obj` slot resolved against
+    them, and `obj_ids`, the memo of the masks that reach the `obj`
+    slot. All else is read from `tables`."""
 
     def __init__(self, tables: DecodeTables, linked_entities: Sequence[str] = ()):
         self.tables = tables
         self.linked = frozenset(tables.vocab.id(e) for e in linked_entities)
-        sets = {**tables.sets, "linked": dict.fromkeys(self.linked)}
-        self.moves = {**tables.moves,
-                      "obj": tuple((sets[name], then) for name, then in _MOVES["obj"])}
+        self.moves = {**tables.moves, "obj": tables._resolve("obj", dict.fromkeys(self.linked))}
         self.slot_masks = {**tables.slot_masks,
                            "obj": tables.slot_masks["obj"] | self.linked}
-        # read on every step, so looked up here rather than through the tables
-        self.rest, self.fill, self.dist = tables.rest, tables.fill, tables.dist
-        self.mask_ids = tables.mask_ids
         self.obj_ids: dict[tuple, tuple[int, ...]] = {}
-
-    def __getattr__(self, name: str):
-        if name == "tables":  # not set yet, as in a copy being rebuilt
-            raise AttributeError(name)
-        return getattr(self.tables, name)
 
 
 def _may_end(state: GrammarState) -> bool:
@@ -370,36 +365,44 @@ def advance(state: GrammarState, token: int,
         if hit is not _MISS:
             if then.__class__ is str:
                 return GrammarState(then, state.stack, hit, state.tail)
-            return then(state, hit, ctx.rest)
+            return then(state, hit, ctx.tables.rest)
     if _may_end(state):
-        return advance(_end_child(state, None, ctx.rest), token, ctx)
+        return advance(_end_child(state, None, ctx.tables.rest), token, ctx)
     return None
 
 
 def completion(state: GrammarState, ctx: DecodeContext) -> int:
     """The fewest tokens, the end token included, that take the state to
     `accepted`; NEVER or more when no tokens do."""
-    cursor = state.cursor
-    return (ctx.fill[state.slot] if cursor is None else ctx.dist[cursor]) + state.tail
+    cursor, tables = state.cursor, ctx.tables
+    return (tables.fill[state.slot] if cursor is None else tables.dist[cursor]) + state.tail
 
 
 def mask_key(state: GrammarState) -> tuple:
-    """What the allowed set depends on: the slot and the trie cursor, and
-    the top frame where the current child may end, since the tokens
-    that start the frame's next child are then allowed too."""
+    """What the allowed set depends on: the slot; the trie cursor, but
+    for a leaf, a complete name with no tokens of its own to allow,
+    whose key has no cursor; and where the current child may end, the
+    slot the top frame's next child starts in, since that slot's tokens
+    are then allowed too."""
+    cursor = state.cursor
+    if cursor is not None and not cursor.children:
+        cursor = None
     if _may_end(state):
-        return (state.slot, state.cursor, state.stack[-1])
-    return (state.slot, state.cursor)
+        return (state.slot, cursor, _FOLLOW[state.stack[-1]])
+    return (state.slot, cursor)
 
 
 def allowed_next(state: GrammarState, ctx: DecodeContext) -> frozenset[int]:
     """Exactly the token ids advance() accepts in this state, computed
-    afresh from the slot masks (the tables keep them memoised)."""
+    afresh from the slot masks (the tables keep them memoised). Where
+    the current child may end, the tokens of the slot that the top
+    frame's next child starts in are allowed too; that slot has no
+    cursor and never may end, so its mask is its slot mask."""
     mask = ctx.slot_masks[state.slot]
     if state.cursor is not None:
         mask = mask.union(state.cursor.children)
     if _may_end(state):
-        mask = mask.union(allowed_next(_end_child(state, None, ctx.rest), ctx))
+        mask = mask.union(ctx.slot_masks[_FOLLOW[state.stack[-1]]])
     return mask
 
 
@@ -415,15 +418,16 @@ def render_tokens(ids: Sequence[int], ctx: DecodeContext) -> Optional[str]:
     """Rebuild logical-form text from a token sequence by replaying the
     grammar; None when the sequence is not grammatical. A trailing end
     token is accepted (and required to sit in the done state)."""
+    vocab = ctx.tables.vocab
     state = initial_state()
     lexemes: list[str] = []
     for token in ids:
-        if token == ctx.end_id:
+        if token == vocab.end_id:
             return " ".join(_respace(lexemes)) if state.slot == "done" else None
         if continues_lexeme(state, token, ctx):
-            lexemes[-1] += ctx.vocab.token(token)
+            lexemes[-1] += vocab.token(token)
         else:
-            lexemes.append(ctx.vocab.token(token))
+            lexemes.append(vocab.token(token))
         state = advance(state, token, ctx)
         if state is None:
             return None

@@ -14,7 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import (Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Union)
 
 from . import vocab as vocab_mod
 from .beam import Hypothesis, TokenScorer, beam_search
@@ -260,11 +262,13 @@ class PipelineConfig:
     max_mention_len: int = 15
     enum: EnumConfig = field(default_factory=EnumConfig)
     dump_context: bool = False
+    # The least value of each numeric field; the CLI's flags take these ranges.
+    MINIMUMS: ClassVar[Mapping[str, int]] = MappingProxyType({
+        "beam_size": 1, "max_output_tokens": 1, "input_budget": 0,
+        "top_schema": 0, "top_elf": 0, "max_mention_len": 1})
 
     def __post_init__(self):
-        # the ranges of the CLI flags
-        for name, low in (("beam_size", 1), ("max_output_tokens", 1), ("input_budget", 0),
-                          ("top_schema", 0), ("top_elf", 0), ("max_mention_len", 1)):
+        for name, low in self.MINIMUMS.items():
             value = getattr(self, name)
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
@@ -364,14 +368,10 @@ class Pipeline:
             store=self.store))
         return Prepared(links, ranked_elfs, context, timing, errors)
 
-    def decode(self, prepared: Prepared) -> Iterator[tuple[Hypothesis, str]]:
-        """Beam hypotheses in rank order, each with its rendered text; a
-        failed decode degrades to none, recorded under "decode".
-
-        The search runs, and is timed, here. The texts are rendered
-        lazily, each when the iteration reaches its hypothesis, so a
-        caller that stops early renders no more than it reads; that
-        time falls outside timing["decode"]."""
+    def _search(self, prepared: Prepared) -> tuple[list[Hypothesis], DecodeContext]:
+        """Beam hypotheses in rank order, and the question's decode
+        context that renders them; timed as "decode", and a failed
+        search degrades to none, recorded under "decode"."""
         decode_ctx = DecodeContext(self.tables, [link.entity for link in prepared.links])
 
         def search():
@@ -382,11 +382,24 @@ class Pipeline:
                     scorer, prepared.context.token_ids, decode_ctx,
                     constrained=self.cfg.constrained, beam_size=self.cfg.beam_size,
                     max_len=self.cfg.max_output_tokens)
-        hypotheses = _timed_stage(prepared.timing, "decode", search,
-                                  prepared.stage_errors, [])
-        end = {self.vocab.end_id}
-        return ((hyp, render_tokens(hyp.tokens, decode_ctx)
-                 or raw_join(self.vocab, hyp.tokens, skip=end)) for hyp in hypotheses)
+        return _timed_stage(prepared.timing, "decode", search,
+                            prepared.stage_errors, []), decode_ctx
+
+    def _render(self, hyp: Hypothesis, decode_ctx: DecodeContext) -> str:
+        """The hypothesis's logical-form text, or its raw tokens joined
+        when it is not grammatical."""
+        return (render_tokens(hyp.tokens, decode_ctx)
+                or raw_join(self.vocab, hyp.tokens, skip={self.vocab.end_id}))
+
+    def decode(self, prepared: Prepared) -> list[tuple[Hypothesis, str]]:
+        """Beam hypotheses in rank order, each with its rendered text,
+        all timed as "decode"; a failed decode degrades to none,
+        recorded under "decode". `predict` instead renders lazily."""
+        t0 = time.perf_counter()
+        hypotheses, decode_ctx = self._search(prepared)
+        decoded = [(hyp, self._render(hyp, decode_ctx)) for hyp in hypotheses]
+        prepared.timing["decode"] = time.perf_counter() - t0
+        return decoded
 
     # -- end to end --------------------------------------------------------
 
@@ -398,11 +411,12 @@ class Pipeline:
         clock = time.perf_counter
         t_start = clock()
         prepared = self.prepare(question_text)
-        decoded = self.decode(prepared)
+        hypotheses, decode_ctx = self._search(prepared)
 
         t0 = clock()
         candidates = chain(
-            ((text, "generated", rank) for rank, (_, text) in enumerate(decoded)),
+            ((self._render(hyp, decode_ctx), "generated", rank)
+             for rank, hyp in enumerate(hypotheses)),
             ((cand.candidate, "elf-fallback", None) for cand in prepared.ranked_elfs))
         chosen_form: Optional[str] = None
         answers: Optional[tuple[str, ...]] = None

@@ -60,20 +60,21 @@ def _line(record) -> str:
 
 
 def _prediction_record(pipe: Pipeline, question: str, qid: str) -> dict:
-    """`predict` of one question, with the hypotheses its decode gave."""
+    """`predict` of one question, with every hypothesis its beam search
+    gave, each rendered as `decode` renders it."""
     seen = []
-    decode = pipe.decode
+    search = pipe._search
 
     def recording(prepared):
-        decoded = list(decode(prepared))
-        seen.extend(decoded)
-        return decoded
+        hypotheses, decode_ctx = search(prepared)
+        seen.extend((hyp, pipe._render(hyp, decode_ctx)) for hyp in hypotheses)
+        return hypotheses, decode_ctx
 
-    pipe.decode = recording
+    pipe._search = recording
     try:
         prediction = pipe.predict(question, qid)
     finally:
-        del pipe.decode
+        del pipe._search
     record = prediction.to_json()
     del record["timing"]
     record["hypotheses"] = [[text, hyp.log_prob.hex(), list(hyp.tokens)]

@@ -27,13 +27,13 @@ def make_ctx(store=None, linked=("e1", "ox1", "eng1"), extra=()):
 
 
 def encode_target(ctx, text):
-    return tuple(encode_logical_form(ctx.vocab, text)) + (ctx.end_id,)
+    return tuple(encode_logical_form(ctx.tables.vocab, text)) + (ctx.tables.end_id,)
 
 
 def test_oracle_decodes_target_exactly():
     ctx, store = make_ctx()
     target = encode_target(ctx, "(ARGMIN sf.engine sf.chamber_pressure)")
-    hyps = beam_search(OracleScorer(target, ctx.vocab.size, eps=0.0), (), ctx,
+    hyps = beam_search(OracleScorer(target, ctx.tables.vocab.size, eps=0.0), (), ctx,
                        beam_size=10)
     assert len(hyps) == 1
     assert hyps[0].tokens == target
@@ -51,17 +51,17 @@ def test_constraints_force_catalog_names():
     good_text = "(ARGMIN sf.engine sf.chamber_pressure)"
     target = encode_target(ctx, bad_text)
 
-    constrained = beam_search(OracleScorer(target, ctx.vocab.size, eps=0.1),
+    constrained = beam_search(OracleScorer(target, ctx.tables.vocab.size, eps=0.1),
                               (), ctx, constrained=True, beam_size=10, max_len=48)
     assert constrained
     for hyp in constrained:
         text = render_tokens(hyp.tokens, ctx)
         assert validate_schema(parse(text), store) == []
 
-    unconstrained = beam_search(OracleScorer(target, ctx.vocab.size, eps=0.0),
+    unconstrained = beam_search(OracleScorer(target, ctx.tables.vocab.size, eps=0.0),
                                 (), ctx, constrained=False, beam_size=4, max_len=48)
     assert unconstrained
-    raw = [ctx.vocab.token(t) for t in unconstrained[0].tokens[:-1]]
+    raw = [ctx.tables.vocab.token(t) for t in unconstrained[0].tokens[:-1]]
     assert "bogus" in raw
     assert good_text != bad_text
 
@@ -72,7 +72,7 @@ def test_uniform_scorer_constrained_outputs_validate():
     length budget; whatever does come back must parse and validate, and
     the pipeline treats an empty beam as a fallback trigger."""
     ctx, store = make_ctx()
-    hyps = beam_search(UniformScorer(ctx.vocab.size), (), ctx,
+    hyps = beam_search(UniformScorer(ctx.tables.vocab.size), (), ctx,
                        constrained=True, beam_size=4, max_len=64)
     for hyp in hyps:
         text = render_tokens(hyp.tokens, ctx)
@@ -84,7 +84,7 @@ def test_constrained_outputs_always_valid_random_scorers():
     ctx, store = make_ctx()
     checked = 0
     for seed in range(30):
-        hyps = beam_search(RandomTokenScorer(ctx.vocab.size, seed=seed), (), ctx,
+        hyps = beam_search(RandomTokenScorer(ctx.tables.vocab.size, seed=seed), (), ctx,
                            constrained=True, beam_size=6, max_len=64)
         for hyp in hyps:
             text = render_tokens(hyp.tokens, ctx)
@@ -98,7 +98,7 @@ def test_score_dominance_unconstrained_at_least_constrained():
     ctx, _ = make_ctx()
     target = encode_target(ctx, "(COUNT sf.engine)")
     for eps in (0.05, 0.2):
-        scorer = OracleScorer(target, ctx.vocab.size, eps=eps)
+        scorer = OracleScorer(target, ctx.tables.vocab.size, eps=eps)
         con = beam_search(scorer, (), ctx, constrained=True, beam_size=5)
         unc = beam_search(scorer, (), ctx, constrained=False, beam_size=5)
         if con and unc:
@@ -110,8 +110,8 @@ def test_beam_width_monotonicity_oracle_and_ngram():
     target = encode_target(ctx, "(AND ms.system (JOIN ms.length_units e1))")
     corpus_forms = ["(JOIN ms.length_units e1)", "(COUNT sf.engine)",
                     "(AND ms.system (JOIN ms.length_units e1))"]
-    scorers = [OracleScorer(target, ctx.vocab.size, eps=0.15),
-               ngram_scorer_from_forms(corpus_forms, ctx.vocab)]
+    scorers = [OracleScorer(target, ctx.tables.vocab.size, eps=0.15),
+               ngram_scorer_from_forms(corpus_forms, ctx.tables.vocab)]
     for scorer in scorers:
         best = None
         for width in (1, 2, 3, 5, 8):
@@ -127,7 +127,7 @@ def test_masking_replay_audit():
     """No hypothesis contains a token outside allowed_next at its step."""
     from kbqa.grammar import advance, allowed_next, initial_state
     ctx, _ = make_ctx()
-    hyps = beam_search(RandomTokenScorer(ctx.vocab.size, seed=4), (), ctx,
+    hyps = beam_search(RandomTokenScorer(ctx.tables.vocab.size, seed=4), (), ctx,
                        constrained=True, beam_size=5, max_len=48)
     for hyp in hyps:
         state = initial_state()
@@ -138,9 +138,9 @@ def test_masking_replay_audit():
 
 def test_deterministic_tie_break():
     ctx, _ = make_ctx()
-    a = beam_search(RandomTokenScorer(ctx.vocab.size, seed=9), (), ctx,
+    a = beam_search(RandomTokenScorer(ctx.tables.vocab.size, seed=9), (), ctx,
                     beam_size=4, max_len=48)
-    b = beam_search(RandomTokenScorer(ctx.vocab.size, seed=9), (), ctx,
+    b = beam_search(RandomTokenScorer(ctx.tables.vocab.size, seed=9), (), ctx,
                     beam_size=4, max_len=48)
     assert [h.tokens for h in a] == [h.tokens for h in b]
 
@@ -165,14 +165,14 @@ def test_cross_parent_tie_breaks_by_token_sequence():
     whose tokens sort first survives, not the child of the better-scored
     parent (40,)."""
     ctx, _ = make_ctx()
-    end = ctx.end_id
-    assert end not in (30, 40, 50, 52) and ctx.vocab.size > 52
+    end = ctx.tables.end_id
+    assert end not in (30, 40, 50, 52) and ctx.tables.vocab.size > 52
     script = {(): {40: -1.0, 30: -1.2},
               (40,): {end: -0.1, 50: -1.5},
               (30,): {52: -1.3},
               (30, 52): {end: 0.0},
               (40, 50): {end: 0.0}}
-    hyps = beam_search(ScriptedScorer(ctx.vocab.size, script), (), ctx,
+    hyps = beam_search(ScriptedScorer(ctx.tables.vocab.size, script), (), ctx,
                        constrained=False, beam_size=2, max_len=8)
     assert [h.tokens for h in hyps] == [(40, end), (30, 52, end)]
 
@@ -182,14 +182,14 @@ def test_early_stop_keeps_a_live_hypothesis_that_ties():
     live at -1.0. Its child (20, 25, 26, e) ties with them and sorts
     before (20, 30, e), so the search must not stop on the tie."""
     ctx, _ = make_ctx()
-    e = ctx.end_id
-    assert e not in (20, 25, 26, 30) and ctx.vocab.size > 30
+    e = ctx.tables.end_id
+    assert e not in (20, 25, 26, 30) and ctx.tables.vocab.size > 30
     script = {(): {e: -1.0, 20: -1.0},
               (20,): {25: 0.0, 30: 0.0},
               (20, 25): {26: 0.0},
               (20, 30): {e: 0.0},
               (20, 25, 26): {e: 0.0}}
-    scorer = ScriptedScorer(ctx.vocab.size, script)
+    scorer = ScriptedScorer(ctx.tables.vocab.size, script)
     wide = beam_search(scorer, (), ctx, constrained=False, beam_size=3)
     assert [h.tokens for h in wide] == [(e,), (20, 25, 26, e), (20, 30, e)]
     hyps = beam_search(scorer, (), ctx, constrained=False, beam_size=2)
@@ -201,14 +201,14 @@ def test_early_stop_keeps_a_live_hypothesis_that_ties():
 def test_dead_end_gives_empty_result():
     ctx, _ = make_ctx(extra=("bogus",))
     target = encode_target(ctx, "(ARGMIN sf.bogus sf.chamber_pressure)")
-    hyps = beam_search(OracleScorer(target, ctx.vocab.size, eps=0.0), (), ctx,
+    hyps = beam_search(OracleScorer(target, ctx.tables.vocab.size, eps=0.0), (), ctx,
                        constrained=True, beam_size=5, max_len=48)
     assert hyps == []
 
 
 def test_max_results_capped_at_beam_size():
     ctx, _ = make_ctx()
-    hyps = beam_search(RandomTokenScorer(ctx.vocab.size, seed=12), (), ctx,
+    hyps = beam_search(RandomTokenScorer(ctx.tables.vocab.size, seed=12), (), ctx,
                        beam_size=3, max_len=64)
     assert len(hyps) <= 3
     assert all(isinstance(h, Hypothesis) for h in hyps)
@@ -218,22 +218,22 @@ def test_max_results_capped_at_beam_size():
 def test_sequence_nll_oracle_is_zero():
     ctx, _ = make_ctx()
     target = encode_target(ctx, "(COUNT sf.engine)")
-    scorer = OracleScorer(target, ctx.vocab.size, eps=0.0)
-    assert sequence_nll(scorer, (), target, ctx.end_id) == pytest.approx(0.0)
+    scorer = OracleScorer(target, ctx.tables.vocab.size, eps=0.0)
+    assert sequence_nll(scorer, (), target, ctx.tables.end_id) == pytest.approx(0.0)
 
 
 def test_sequence_nll_uniform_closed_form():
     ctx, _ = make_ctx()
     target = encode_target(ctx, "(COUNT sf.engine)")
-    scorer = UniformScorer(ctx.vocab.size)
-    expected = len(target) * math.log(ctx.vocab.size)
-    assert sequence_nll(scorer, (), target, ctx.end_id) == pytest.approx(expected)
+    scorer = UniformScorer(ctx.tables.vocab.size)
+    expected = len(target) * math.log(ctx.tables.vocab.size)
+    assert sequence_nll(scorer, (), target, ctx.tables.end_id) == pytest.approx(expected)
 
 
 def test_sequence_nll_requires_end_token():
     ctx, _ = make_ctx()
     with pytest.raises(ValueError):
-        sequence_nll(UniformScorer(ctx.vocab.size), (), (1, 2, 3), ctx.end_id)
+        sequence_nll(UniformScorer(ctx.tables.vocab.size), (), (1, 2, 3), ctx.tables.end_id)
 
 
 def test_sequence_nll_ngram_prefers_in_corpus_forms():
@@ -241,18 +241,18 @@ def test_sequence_nll_ngram_prefers_in_corpus_forms():
     forms = ["(JOIN ms.length_units e1)",
              "(AND ms.system (JOIN ms.length_units e1))",
              "(COUNT sf.engine)"]
-    scorer = ngram_scorer_from_forms(forms, ctx.vocab)
+    scorer = ngram_scorer_from_forms(forms, ctx.tables.vocab)
     in_corpus = encode_target(ctx, forms[0])
     shuffled = encode_target(ctx, "(JOIN sf.chamber_pressure 911.0)")
-    assert sequence_nll(scorer, (), in_corpus, ctx.end_id) < \
-        sequence_nll(scorer, (), shuffled, ctx.end_id)
+    assert sequence_nll(scorer, (), in_corpus, ctx.tables.end_id) < \
+        sequence_nll(scorer, (), shuffled, ctx.tables.end_id)
 
 
 def test_sequence_nll_additivity_order_one():
     ctx, _ = make_ctx()
     corpus = [encode_target(ctx, "(COUNT sf.engine)"),
               encode_target(ctx, "(JOIN ms.length_units e1)")]
-    scorer = NgramScorer(corpus, ctx.vocab.size, order=1, begin_id=ctx.vocab.begin_id)
+    scorer = NgramScorer(corpus, ctx.tables.vocab.size, order=1, begin_id=ctx.tables.vocab.begin_id)
     seg_a = corpus[0][:3]
     seg_b = corpus[0][3:]
     whole = sequence_nll(scorer, (), corpus[0])
@@ -263,7 +263,7 @@ def test_sequence_nll_additivity_order_one():
 def test_log_prob_non_increasing_along_path():
     ctx, _ = make_ctx()
     target = encode_target(ctx, "(COUNT sf.engine)")
-    scorer = OracleScorer(target, ctx.vocab.size, eps=0.3)
+    scorer = OracleScorer(target, ctx.tables.vocab.size, eps=0.3)
     hyps = beam_search(scorer, (), ctx, beam_size=3, max_len=48)
     for hyp in hyps:
         assert hyp.log_prob <= 1e-12
@@ -281,7 +281,7 @@ def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
     def sort_key(hyp):
         return (-quantize(hyp.log_prob), hyp.tokens)
 
-    end_id = ctx.end_id
+    end_id = ctx.tables.end_id
     live = [Hypothesis((), 0.0, initial_state())]
     finished = []
     for _ in range(max_len):
@@ -342,13 +342,13 @@ def test_array_step_matches_reference_loop():
     for n, store in enumerate(stores):
         entities = sorted(store.all_entities())
         ctx, _ = make_ctx(store, linked=entities[:1 + n % 3])
-        size = ctx.vocab.size
+        size = ctx.tables.vocab.size
         scorers = {seed: RandomTokenScorer(size, seed=100 * n + seed) for seed in range(3)}
         # An n-gram model of forms the grammar accepts, so that its sparse
         # rows have overrides on the allowed ids.
         corpus = [h.tokens for h in beam_search(RandomTokenScorer(size, seed=n), (), ctx,
                                                 beam_size=10, max_len=40)]
-        scorers["ngram"] = NgramScorer(corpus, size, begin_id=ctx.vocab.begin_id)
+        scorers["ngram"] = NgramScorer(corpus, size, begin_id=ctx.tables.vocab.begin_id)
         for seed, scorer in scorers.items():
             for constrained in (True, False):
                 for beam_size in (1, 3, 10):
@@ -387,12 +387,12 @@ def test_max_len_below_the_shortest_form_costs_one_row():
     shortest = completion(initial_state(), ctx)
     target = encode_target(ctx, "(COUNT sf.engine)")
     assert shortest == len(target) == 7
-    for scorer in (UniformScorer(ctx.vocab.size),
-                   OracleScorer(target, ctx.vocab.size, eps=0.0)):
+    for scorer in (UniformScorer(ctx.tables.vocab.size),
+                   OracleScorer(target, ctx.tables.vocab.size, eps=0.0)):
         counted = CountingScorer(scorer)
         assert beam_search(counted, (), ctx, beam_size=10, max_len=shortest - 1) == []
         assert counted.calls == 1
-    hyps = beam_search(OracleScorer(target, ctx.vocab.size, eps=0.0), (), ctx,
+    hyps = beam_search(OracleScorer(target, ctx.tables.vocab.size, eps=0.0), (), ctx,
                        max_len=shortest)
     assert [h.tokens for h in hyps] == [target]
 
@@ -404,8 +404,8 @@ class NeverClosingScorer:
     reentrant = True
 
     def __init__(self, ctx, seed, target=()):
-        self.rows = RandomTokenScorer(ctx.vocab.size, seed=seed)
-        self.close_id, self.target = ctx.close_id, tuple(target)
+        self.rows = RandomTokenScorer(ctx.tables.vocab.size, seed=seed)
+        self.close_id, self.target = ctx.tables.close_id, tuple(target)
 
     def next_log_probs(self, context, prefix):
         row = np.array(self.rows.next_log_probs(context, prefix), dtype=float)
@@ -469,7 +469,7 @@ def test_flat_step_matches_reference_on_ties_and_infinities():
     for n, store in enumerate(stores):
         entities = sorted(store.all_entities())
         ctx, _ = make_ctx(store, linked=entities[:2])
-        size = ctx.vocab.size
+        size = ctx.tables.vocab.size
         for kind in ("dense", "fill", "overrides"):
             for seed in range(2):
                 scorer = TiedScorer(size, 10 * n + seed, kind)
@@ -513,11 +513,11 @@ def test_sparse_rows_survive_a_pass_through_wrapper(monkeypatch):
     """Constrained search through a wrapper never densifies a SparseRow,
     and finds what the bare scorer finds."""
     ctx, _ = make_ctx()
-    size = ctx.vocab.size
+    size = ctx.tables.vocab.size
     forms = ["(JOIN ms.length_units e1)",
              "(AND ms.system (JOIN ms.length_units e1))",
              "(COUNT sf.engine)"]
-    scorers = [UniformScorer(size), ngram_scorer_from_forms(forms, ctx.vocab),
+    scorers = [UniformScorer(size), ngram_scorer_from_forms(forms, ctx.tables.vocab),
                OracleScorer(encode_target(ctx, forms[1]), size, eps=0.0)]
     bare = [beam_search(scorer, (), ctx, beam_size=5, max_len=48) for scorer in scorers]
     assert all(bare[1:])  # flat uniform rows may finish nothing
@@ -547,7 +547,7 @@ def test_scores_that_tie_only_under_numpy_rounding():
     for target, score in ((first, a), (second, b)):
         for i, token in enumerate(target):
             script.setdefault(target[:i], {})[token] = score if i == branch else 0.0
-    scorer = ScriptedScorer(ctx.vocab.size, script)
+    scorer = ScriptedScorer(ctx.tables.vocab.size, script)
     for beam_size, expected in ((1, [first]), (2, [first, second])):
         hyps = beam_search(scorer, (), ctx, beam_size=beam_size)
         assert [h.tokens for h in hyps] == expected

@@ -2,8 +2,9 @@ import random
 
 from kbqa.beam import _allowed_ids
 from kbqa.fixtures import toy_store
-from kbqa.grammar import (_SLOTS, NEVER, DecodeContext, DecodeTables, advance, allowed_next,
-                          completion, initial_state, render_tokens)
+from kbqa.grammar import (_FOLLOW, _MAY_END, _SLOTS, _TRIE_SLOTS, NEVER, DecodeContext,
+                          DecodeTables, advance, allowed_next, completion, initial_state,
+                          render_tokens)
 from kbqa.pipeline import Pipeline
 from kbqa.sexpr import parse, print_canonical, validate_schema
 from kbqa.store import LiteralValue, StoreBuilder
@@ -32,32 +33,32 @@ def replay(ctx, ids):
 
 def test_start_expects_open_paren():
     ctx, _ = make_ctx()
-    assert allowed_next(initial_state(), ctx) == frozenset((ctx.open_id,))
+    assert allowed_next(initial_state(), ctx) == frozenset((ctx.tables.open_id,))
 
 
 def test_after_open_paren_operators_only():
     ctx, _ = make_ctx()
-    state = advance(initial_state(), ctx.open_id, ctx)
+    state = advance(initial_state(), ctx.tables.open_id, ctx)
     allowed = allowed_next(state, ctx)
-    assert allowed == ctx.root_op_ids
-    assert ctx.open_id not in allowed
+    assert allowed == ctx.tables.root_op_ids
+    assert ctx.tables.open_id not in allowed
 
 
 def test_nested_operators_exclude_functions():
     ctx, _ = make_ctx()
-    vocab = ctx.vocab
+    vocab = ctx.tables.vocab
     ids = [vocab.id(t) for t in ["(", "AND"]]
     state = replay(ctx, ids)
-    state = advance(state, ctx.open_id, ctx)  # nested open
+    state = advance(state, ctx.tables.open_id, ctx)  # nested open
     allowed = allowed_next(state, ctx)
-    assert allowed == ctx.nested_op_ids
+    assert allowed == ctx.tables.nested_op_ids
     assert vocab.id("COUNT") not in allowed
     assert vocab.id("ARGMIN") not in allowed
 
 
 def test_trie_cursor_children():
     ctx, store = make_ctx()
-    vocab = ctx.vocab
+    vocab = ctx.tables.vocab
     # (JOIN ms . -> children of the relation trie node after "ms."
     ids = [vocab.id(t) for t in ["(", "JOIN", "ms", "."]]
     state = replay(ctx, ids)
@@ -68,7 +69,7 @@ def test_trie_cursor_children():
 
 def test_terminal_exit_tokens():
     ctx, _ = make_ctx()
-    vocab = ctx.vocab
+    vocab = ctx.tables.vocab
     # complete relation name inside JOIN: next can only start the object
     ids = [vocab.id(t) for t in ["(", "JOIN", "ms", ".", "length", "_", "units"]]
     state = replay(ctx, ids)
@@ -76,13 +77,13 @@ def test_terminal_exit_tokens():
     names = {vocab.token(t) for t in allowed}
     assert "(" in names
     assert ctx.linked <= allowed
-    assert ctx.digit_ids <= allowed
+    assert ctx.tables.digit_ids <= allowed
     assert vocab.id("_") not in allowed  # name cannot continue
 
 
 def test_entity_slot_restricted_to_linked():
     ctx, _ = make_ctx(linked=("e1",))
-    vocab = ctx.vocab
+    vocab = ctx.tables.vocab
     ids = [vocab.id(t) for t in ["(", "JOIN", "ms", ".", "length", "_", "units"]]
     state = replay(ctx, ids)
     allowed = allowed_next(state, ctx)
@@ -92,52 +93,52 @@ def test_entity_slot_restricted_to_linked():
 
 def test_done_state_accepts_only_end():
     ctx, _ = make_ctx()
-    ids = encode_logical_form(ctx.vocab, "(COUNT sf.engine)")
+    ids = encode_logical_form(ctx.tables.vocab, "(COUNT sf.engine)")
     state = replay(ctx, ids)
     assert state.slot == "done"
-    assert allowed_next(state, ctx) == frozenset((ctx.end_id,))
-    finished = advance(state, ctx.end_id, ctx)
+    assert allowed_next(state, ctx) == frozenset((ctx.tables.end_id,))
+    finished = advance(state, ctx.tables.end_id, ctx)
     assert finished.finished
     assert allowed_next(finished, ctx) == frozenset()
 
 
 def test_dead_end_returns_none():
     ctx, _ = make_ctx()
-    state = advance(initial_state(), ctx.close_id, ctx)
+    state = advance(initial_state(), ctx.tables.close_id, ctx)
     assert state is None
 
 
 def test_literal_machine():
     ctx, _ = make_ctx()
-    vocab = ctx.vocab
+    vocab = ctx.tables.vocab
     prefix = ["(", "lt", "sf", ".", "chamber", "_", "pressure"]
     ids = [vocab.id(t) for t in prefix]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == ctx.digit_ids  # literal must start
+    assert allowed_next(state, ctx) == ctx.tables.digit_ids  # literal must start
     ids += [vocab.id("2")]
     state = replay(ctx, ids)
     allowed = allowed_next(state, ctx)
-    assert ctx.dot_id in allowed and ctx.caret_id in allowed
-    assert ctx.close_id in allowed  # integer may end here
+    assert ctx.tables.dot_id in allowed and ctx.tables.caret_id in allowed
+    assert ctx.tables.close_id in allowed  # integer may end here
     ids += [vocab.id(".")]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == ctx.digit_ids  # fraction needs a digit
+    assert allowed_next(state, ctx) == ctx.tables.digit_ids  # fraction needs a digit
     ids += [vocab.id("5"), vocab.id("^^")]
     state = replay(ctx, ids)
     # fractional payload: only the float tag keeps the literal parseable
-    assert allowed_next(state, ctx) == ctx.float_tag_ids
+    assert allowed_next(state, ctx) == ctx.tables.float_tag_ids
     ids += [vocab.id("float")]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == frozenset((ctx.close_id,))
+    assert allowed_next(state, ctx) == frozenset((ctx.tables.close_id,))
 
 
 def test_integer_literal_allows_both_tags():
     ctx, _ = make_ctx()
-    vocab = ctx.vocab
+    vocab = ctx.tables.vocab
     ids = [vocab.id(t) for t in ["(", "lt", "sf", ".", "chamber", "_",
                                  "pressure", "7", "^^"]]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == ctx.tag_ids
+    assert allowed_next(state, ctx) == ctx.tables.tag_ids
 
 
 def test_every_encoded_form_replays(toy):
@@ -152,10 +153,10 @@ def test_every_encoded_form_replays(toy):
         "(gt sf.chamber_pressure 5.0)",
     ]
     for text in forms:
-        ids = encode_logical_form(ctx.vocab, text)
+        ids = encode_logical_form(ctx.tables.vocab, text)
         state = replay(ctx, ids)
         assert state is not None and state.slot == "done", text
-        rendered = render_tokens(list(ids) + [ctx.end_id], ctx)
+        rendered = render_tokens(list(ids) + [ctx.tables.end_id], ctx)
         assert rendered is not None
         assert print_canonical(parse(rendered)) == print_canonical(parse(text))
 
@@ -216,12 +217,13 @@ def test_replay_check_over_random_walks():
     for n in range(8):
         store = random_store(rng, max_entities=20)
         stores.append((store, sorted(store.all_entities())[:1 + n % 3]))
-    open_terminals = 0  # visits to a complete name that can go on
+    open_terminals = []  # per store, visits to a complete name that can go on
     for store, linked in stores:
         ctx = DecodeContext(Pipeline(store).tables, linked)
-        vocabulary = range(ctx.vocab.size)
+        vocabulary = range(ctx.tables.vocab.size)
         walks = random.Random(8)
         finished = 0
+        open_terminals.append(0)
         checked = set()
         for _ in range(300):
             state = initial_state()
@@ -239,7 +241,7 @@ def test_replay_check_over_random_walks():
                     for token in allowed:
                         assert completion(advance(state, token, ctx), ctx) >= need - 1
                 if state.cursor is not None and state.cursor.terminal and state.cursor.children:
-                    open_terminals += 1
+                    open_terminals[-1] += 1
                 if not allowed:
                     break
                 token = walks.choice(sorted(allowed))
@@ -256,16 +258,23 @@ def test_replay_check_over_random_walks():
                 assert validate_schema(form, store) == []
         assert finished > 50
         # the question's own memo holds only the masks that reach the obj
-        # slot: the slot itself, or a complete relation name in JOIN
+        # slot: the slot itself, or a complete name whose frame goes on to it
         assert ctx.obj_ids
-        assert all(key[0] == "obj" or key[0] == "relname" and key[2] == ("JOIN", 0)
+        assert all(key[0] == "obj" or key[0] == "relname" and key[2] == "obj"
                    for key in ctx.obj_ids)
-    assert open_terminals > 0
+    assert open_terminals[1] > 0  # prefix_store()
+
+
+def test_no_child_starts_where_a_child_may_end():
+    """allowed_next and mask_key take the mask of the slot that a frame's
+    next child starts in to be that slot's mask: the slot has no cursor
+    and no child may end in it."""
+    assert not set(_FOLLOW.values()) & (_MAY_END | set(_TRIE_SLOTS))
 
 
 def test_renders_tokens_rejects_ungrammatical():
     ctx, _ = make_ctx()
-    vocab = ctx.vocab
+    vocab = ctx.tables.vocab
     junk = [vocab.id(")"), vocab.id("AND")]
     assert render_tokens(junk, ctx) is None
     partial = [vocab.id("("), vocab.id("COUNT")]

@@ -339,11 +339,15 @@ def test_predict_batch_threads_match_serial_with_several_links():
 
 
 def table_contents(tables):
-    """Every attribute of the tables, each dict and each token set copied."""
+    """Every attribute of the tables, each dict and each token set, of
+    `sets` and of the moves, copied."""
     contents = {name: dict(value) if isinstance(value, dict) else value
                 for name, value in vars(tables).items()}
     contents["sets"] = {name: None if tokens is None else dict(tokens)
                         for name, tokens in tables.sets.items()}
+    contents["moves"] = {slot: [(None if tokens is None else dict(tokens), then)
+                                for tokens, then in moves]
+                         for slot, moves in tables.moves.items()}
     return contents
 
 
@@ -355,7 +359,6 @@ def test_predicts_leave_the_decode_tables_unchanged():
         pipe.predict(ex.question, ex.qid)
     assert pipe.tables is tables
     assert table_contents(tables) == before
-    assert tables.sets["linked"] == {}
 
 
 @pytest.mark.parametrize("field,value", [
@@ -377,6 +380,30 @@ def test_generated_predictions_revalidate(toy):
     prediction = pipe.predict(QUESTION_ONE, "q")
     assert prediction.provenance == "generated"
     assert is_valid_prediction(prediction.logical_form, toy)
+
+
+def test_predict_renders_only_the_hypotheses_it_checks(monkeypatch):
+    """decode renders every hypothesis; predict only those its candidate
+    loop reaches: up to the winner, or all when none of them wins."""
+    pipe, examples = multi_entity_case(10)
+    rendered = []
+    render = pipeline_mod.render_tokens
+    monkeypatch.setattr(pipeline_mod, "render_tokens",
+                        lambda ids, ctx: rendered.append(ids) or render(ids, ctx))
+    saved = 0
+    for ex in examples:
+        decoded = pipe.decode(pipe.prepare(ex.question))
+        assert len(rendered) == len(decoded)
+        rendered.clear()
+        prediction = pipe.predict(ex.question, ex.qid)
+        if prediction.provenance == "generated":
+            assert prediction.logical_form == decoded[prediction.beam_rank][1]
+            assert len(rendered) == prediction.beam_rank + 1
+        else:
+            assert len(rendered) == len(decoded)
+        saved += len(decoded) - len(rendered)
+        rendered.clear()
+    assert saved > 0
 
 
 def test_decode_stage_error_triggers_fallback(toy):
