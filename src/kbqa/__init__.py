@@ -20,7 +20,6 @@ from .sexpr import (FunctionClass, LogicalForm, canonicalize, function_class,
                     parse, print_canonical, relation_count, validate_schema)
 from .store import (LiteralValue, SchemaItem, StoreBuilder, Triple, TripleStore,
                     parse_literal)
-from .trie import SchemaTrie, build_trie
 from .vocab import Vocabulary, build_vocabulary, encode_logical_form
 
 __version__ = "0.1.0"
@@ -30,11 +29,11 @@ __all__ = [
     "FunctionClass", "GrammarState", "Hypothesis", "LexicalScorer",
     "LinkedEntity", "LiteralValue", "LogicalForm", "Mention", "NgramScorer",
     "OracleScorer", "Pipeline", "PipelineConfig", "Prediction", "QAExample",
-    "Question", "SchemaItem", "SchemaTrie", "ScoredCandidate", "Scorer",
+    "Question", "SchemaItem", "ScoredCandidate", "Scorer",
     "SparqlQuery", "SparseRow", "StartPoint", "StoreBuilder", "TokenScorer",
     "Triple", "TripleStore", "UniformScorer", "Vocabulary", "advance",
     "allowed_next", "answer_f1", "assemble_context", "beam_search",
-    "build_trie", "build_vocabulary", "canonicalize", "compile_sparql",
+    "build_vocabulary", "canonicalize", "compile_sparql",
     "detect_mentions", "disambiguate", "encode_logical_form", "enumerate_elfs",
     "evaluate", "evaluate_dataset", "evaluate_sparql_subset", "exact_match",
     "function_class", "hits_at_1",

@@ -11,8 +11,10 @@ log-probs outside the grammar's allowed set are treated as -inf before
 expansion, so every finished hypothesis spells a parseable,
 catalog-valid logical form, and the search stops once no live
 hypothesis can finish in the steps left. In unconstrained mode any
-token may follow any prefix and a hypothesis finishes on the first end
-token, grammatical or not.
+token may follow any prefix, a hypothesis finishes on the first end
+token, grammatical or not, and no grammar state is kept. The search
+returns finished hypotheses only, each its tokens and its score; the
+live beam's grammar states stay inside it.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ def _quantize(score):
 
 @dataclass(frozen=True)
 class Hypothesis:
-    tokens: tuple[int, ...]  # generated ids, end token included when finished
+    """A finished hypothesis: its generated ids, the end token last, and
+    its path score."""
+    tokens: tuple[int, ...]
     log_prob: float
-    state: Optional[GrammarState]  # None once the sequence left the grammar
-    finished: bool = False
 
     def sort_key(self):
         return (-_quantize(self.log_prob), self.tokens)
@@ -101,8 +103,9 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     end_id = ctx.tables.end_id
-    # The live beam as (tokens, log_prob, state), kept in token order.
-    live = [((), 0.0, initial_state())]
+    # The live beam as (tokens, log_prob, state), kept in token order;
+    # unconstrained, the state stays None, as nothing reads it.
+    live = [((), 0.0, initial_state() if constrained else None)]
     finished: list[Hypothesis] = []
 
     for step in range(max_len):
@@ -135,13 +138,12 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
         for j in sorted(order.tolist()):
             prefix, _, state = live[parents[j]]
             token = tokens[j]
-            if constrained or state is not None:
-                state = advance(state, token, ctx)
-            path = (prefix + (token,), scores[j], state)
-            if token == end_id and (not constrained or state is not None):
-                finished.append(Hypothesis(*path, True))
+            if token == end_id:
+                finished.append(Hypothesis(prefix + (token,), scores[j]))
             else:
-                next_live.append(path)
+                if constrained:
+                    state = advance(state, token, ctx)
+                next_live.append((prefix + (token,), scores[j], state))
         live = next_live
         if not live:
             break

@@ -62,10 +62,12 @@ class AnswerSet:
 
 
 def _cmp_values(a: LiteralValue, b: LiteralValue) -> Optional[int]:
-    """-1/0/1 when comparable, None when the kinds are incomparable."""
+    """-1/0/1 when comparable, None when the kinds are incomparable, or
+    when one datetime has a UTC offset and the other has none."""
     if a.is_numeric() and b.is_numeric():
         x, y = float(a.value), float(b.value)
-    elif a.kind == "datetime" and b.kind == "datetime":
+    elif (a.kind == "datetime" and b.kind == "datetime"
+          and (a.value.utcoffset() is None) == (b.value.utcoffset() is None)):
         x, y = a.value, b.value
     else:
         return None

@@ -11,9 +11,9 @@ takes the token.
 
 A slot in `_MAY_END` also lets a complete name (a terminal trie node)
 or number end: a token that none of its moves takes then starts the
-next child of the top frame. That exit is always unambiguous, because
-a complete name can only continue with a separator token while follow
-sets never contain one.
+next child of the top frame. That exit is unambiguous because of the
+shape `tokenize_name` admits, word(sep word)*: a complete name can only
+continue with a separator token, and follow sets never contain one.
 
 Nested expression slots admit AND/JOIN and the comparatives; COUNT,
 ARGMIN, and ARGMAX are root-only. Entity slots are restricted to the
@@ -22,8 +22,9 @@ constrained syntactically (digits, one point, optional float/integer
 tag) but not to values present in the KB.
 
 What does not depend on the question is built once per vocabulary and
-catalog, in `DecodeTables`, and is read-only afterwards: the move table
-and slot masks resolved to token ids, and every allowed set as a sorted
+catalog, in `DecodeTables`, and is read-only afterwards: the prefix
+tries over the catalog's class and relation names, the move table and
+slot masks resolved to token ids, and every allowed set as a sorted
 tuple under its `mask_key` (a mask reads only the slot, the trie cursor
 and, where the current child may end, the slot that the top frame's
 next child starts in). Only the `obj` slot reads the question, through
@@ -41,9 +42,9 @@ remainder, so it is exact: the fewest tokens that take the state to
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .trie import SchemaTrie, TrieNode
+from .errors import TokenizeError
 from .vocab import DIGITS, TYPE_TAGS, Vocabulary
 
 NESTED_OPERATORS = ("AND", "JOIN", "lt", "le", "gt", "ge")
@@ -69,6 +70,37 @@ _FOLLOW = {(op, pos): slots[pos + 1] if pos + 1 < len(slots) else "close"
 
 # A completion of at least this many tokens means that none exists.
 NEVER = 1 << 30
+
+
+class TrieNode:
+    """A node of a prefix trie over schema names' token ids: a terminal
+    node ends the path of a complete name."""
+    __slots__ = ("children", "terminal")
+
+    def __init__(self):
+        self.children: dict[int, TrieNode] = {}
+        self.terminal = False
+
+
+def _trie(names: Iterable[str], vocab: Vocabulary) -> list[TrieNode]:
+    """The prefix trie over the names' token ids, as its nodes, each
+    before its children; the root first. Insertion order is irrelevant
+    to the names it holds."""
+    nodes = [TrieNode()]
+    for name in names:
+        try:
+            ids = vocab.name_ids(name)
+        except TokenizeError as exc:
+            raise TokenizeError(f"cannot build trie entry for {name!r}: {exc}") from exc
+        node = nodes[0]
+        for token_id in ids:
+            child = node.children.get(token_id)
+            if child is None:
+                child = node.children[token_id] = TrieNode()
+                nodes.append(child)
+            node = child
+        node.terminal = True
+    return nodes
 
 
 class GrammarState(NamedTuple):
@@ -151,29 +183,8 @@ _LEXEME = frozenset(("class", "relname", "lit_int", "lit_frac0", "lit_frac",
                      "lit_tag", "lit_tag_frac"))
 # Slots where a complete name or number may end.
 _MAY_END = frozenset(("class", "relname", "lit_int", "lit_frac"))
-# Slots whose state carries a trie cursor, and the trie of each.
-_TRIE_SLOTS = {"class": "class_trie", "relname": "rel_trie"}
-
-
-def _frames_of_slots() -> dict[str, list[tuple[str, int]]]:
-    """For each slot, the top frames it can be entered under: a frame's
-    child starts in the frame's slot and stays under that frame through
-    the slot-to-slot moves."""
-    frames: dict[str, list[tuple[str, int]]] = {}
-    for op, slots in _SLOTS.items():
-        for pos, slot in enumerate(slots):
-            todo, seen = [slot], {slot}
-            while todo:
-                slot = todo.pop()
-                frames.setdefault(slot, []).append((op, pos))
-                for _, then in _MOVES[slot]:
-                    if then.__class__ is str and then not in seen:
-                        seen.add(then)
-                        todo.append(then)
-    return frames
-
-
-_FRAMES_OF_SLOTS = _frames_of_slots()
+# Slots whose state carries a trie cursor.
+_TRIE_SLOTS = frozenset(("class", "relname"))
 
 
 _MISS = object()
@@ -181,8 +192,10 @@ _MISS = object()
 
 class DecodeTables:
     """What decoding reads that the question does not change, for one
-    vocabulary and its two schema tries; read-only once built, so any
-    number of questions may share it:
+    vocabulary and its catalog's class and relation names; read-only
+    once built, so any number of questions may share it:
+    - a prefix trie over each kind of name, whose root's children are
+      the sets "classes" and "relations";
     - the token sets, the move table resolved against them for a
       question with no linked entities, and per slot the union of its
       move sets;
@@ -194,10 +207,10 @@ class DecodeTables:
     - `rest`: per frame (op, pos), the fewest tokens that fill the
       frame's slots after pos and close it."""
 
-    def __init__(self, vocab: Vocabulary, class_trie: SchemaTrie, rel_trie: SchemaTrie):
+    def __init__(self, vocab: Vocabulary, classes: Iterable[str], relations: Iterable[str]):
         self.vocab = vocab
-        self.class_trie = class_trie
-        self.rel_trie = rel_trie
+        # per trie slot, the trie's nodes, each before its children
+        nodes = {"class": _trie(classes, vocab), "relname": _trie(relations, vocab)}
         self.open_id = vocab.id("(")
         self.close_id = vocab.id(")")
         self.end_id = vocab.end_id
@@ -222,8 +235,8 @@ class DecodeTables:
             "digits": dict.fromkeys(self.digit_ids),
             "tags": dict.fromkeys(self.tag_ids),
             "float_tag": dict.fromkeys(self.float_tag_ids),
-            "classes": class_trie.root.children,
-            "relations": rel_trie.root.children,
+            "classes": nodes["class"][0].children,
+            "relations": nodes["relname"][0].children,
             "cursor": None,
         }
         # the move table of a question with no linked entities
@@ -232,9 +245,6 @@ class DecodeTables:
         self.slot_masks = {
             slot: frozenset().union(*(tokens for tokens, _ in moves if tokens is not None))
             for slot, moves in self.moves.items()}
-        # per trie slot, the trie's nodes, each before its children
-        nodes = {slot: _trie_nodes(getattr(self, trie).root)
-                 for slot, trie in _TRIE_SLOTS.items()}
         self.dist = _distances(*nodes.values())
         self.fill, self.rest = _fills(self.moves, self.dist)
         self.mask_ids = self._shared_masks(nodes)
@@ -250,16 +260,16 @@ class DecodeTables:
         not read the linked entities: the obj slot's, and a complete
         name's whose frame goes on to the obj slot, are left out. Each
         mask is that of one state with the key: with no frame or, where
-        the current child may end, under one frame that goes on to the
-        key's slot."""
+        the current child may end, under one frame per slot that a
+        frame's next child starts in, reachable from this slot or not."""
         ctx = DecodeContext(self)
+        # per slot that a frame's next child starts in, but obj, one
+        # such frame: the inverse of _FOLLOW
+        frames = {then: frame for frame, then in _FOLLOW.items() if then != "obj"}.values()
         masks: dict[tuple, tuple[int, ...]] = {}
         for slot in _MOVES:
             if slot == "obj":
                 continue
-            # per slot that a child ending here goes on to, one top frame
-            frames = {_FOLLOW[frame]: frame for frame in _FRAMES_OF_SLOTS.get(slot, ())}
-            frames.pop("obj", None)
             # no cursor stands for every trie leaf (see mask_key); the
             # root is never a cursor
             inner = ([node for node in nodes[slot][1:] if node.children]
@@ -270,20 +280,10 @@ class DecodeTables:
                     masks[slot, cursor] = tuple(sorted(cursor.children))
                     continue
                 state = GrammarState(slot, (), cursor)
-                for state in ([GrammarState(slot, (frame,), cursor) for frame in frames.values()]
+                for state in ([GrammarState(slot, (frame,), cursor) for frame in frames]
                               if _may_end(state) else (state,)):
                     masks[mask_key(state)] = tuple(sorted(allowed_next(state, ctx)))
         return masks
-
-
-def _trie_nodes(root: TrieNode) -> list[TrieNode]:
-    """The trie's nodes, each before its children."""
-    nodes, todo = [], [root]
-    while todo:
-        node = todo.pop()
-        nodes.append(node)
-        todo.extend(node.children.values())
-    return nodes
 
 
 def _distances(*tries: list[TrieNode]) -> dict[TrieNode, int]:

@@ -30,7 +30,6 @@ from .retrieve import (LinkedEntity, Question, ScoredCandidate, Scorer,
 from .scorers import UniformScorer
 from .sexpr import parse, print_canonical
 from .store import NUMBER_RE, LiteralValue, TripleStore, read_rows
-from .trie import build_trie
 from .vocab import (SECTION_ELFS, SECTION_ENTITIES, SECTION_SCHEMA, Vocabulary,
                     build_vocabulary, encode_logical_form, encode_text,
                     raw_join)
@@ -327,8 +326,7 @@ class Pipeline:
         self.store = store
         self.cfg = cfg
         self.vocab = build_vocabulary(store, extra_vocab_texts)
-        self.tables = DecodeTables(self.vocab, build_trie(store.classes(), self.vocab),
-                                   build_trie(store.relations(), self.vocab))
+        self.tables = DecodeTables(self.vocab, store.classes(), store.relations())
         self.text_scorer = text_scorer or build_lexical_scorer(store)
         if token_scorer is None:
             self.token_scorer: TokenScorer = UniformScorer(self.vocab.size)

@@ -111,30 +111,14 @@ class FunctionClass(enum.Enum):
 
 
 # What `_lex` reads as one token other than a parenthesis: a maximal run
-# of characters that are neither whitespace nor a parenthesis (its
-# whitespace test, str.isspace, and the pattern's \s agree on every
-# code point).
+# of characters that are neither whitespace nor a parenthesis.
 TOKEN_RE = re.compile(r"[^\s()]+")
+_LEX_RE = re.compile(r"[()]|" + TOKEN_RE.pattern)
 
 
 def _lex(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
-    return tokens
+    """The tokens of the text, each with its position."""
+    return [(match.group(), match.start()) for match in _LEX_RE.finditer(text)]
 
 
 def _looks_like_literal(token: str) -> bool:

@@ -51,6 +51,8 @@ _FLOAT_TAGS = {"float", "double", "decimal"}
 _INT_TAGS = {"integer", "int", "long"}
 _DATETIME_TAGS = {"datetime", "date", "gYear", "gYearMonth"}
 _STRING_TAGS = {"string", "str", "text"}
+# XSD gYear and gYearMonth payloads, which datetime.fromisoformat refuses
+_YEAR_MONTH_RE = re.compile(r"([0-9]{4})(?:-([0-9]{2}))?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +138,7 @@ def _classify_literal(text: str) -> Optional[LiteralValue]:
         if tag in _FLOAT_TAGS:
             return LiteralValue("float", float(payload), tag)
         if tag in _DATETIME_TAGS:
-            return LiteralValue("datetime", datetime.fromisoformat(payload), tag)
+            return LiteralValue("datetime", _parse_datetime(payload), tag)
         if tag in _STRING_TAGS:
             return LiteralValue("string", payload, tag)
         # Unknown tag: infer the kind from the payload shape, keep the tag.
@@ -153,6 +155,15 @@ def _classify_literal(text: str) -> Optional[LiteralValue]:
             return LiteralValue("float", float(text))
         return LiteralValue("integer", int(text))
     return None
+
+
+def _parse_datetime(payload: str) -> datetime:
+    """An ISO date or datetime; a year `YYYY` reads as its January 1,
+    and a year and month `YYYY-MM` as the first of that month."""
+    match = _YEAR_MONTH_RE.fullmatch(payload)
+    if match:
+        return datetime(int(match[1]), int(match[2] or 1), 1)
+    return datetime.fromisoformat(payload)
 
 
 Object = Union[str, LiteralValue]

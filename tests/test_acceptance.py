@@ -24,7 +24,6 @@ from kbqa.retrieve import ranker_loss
 from kbqa.scorers import OracleScorer, ngram_scorer_from_forms
 from kbqa.sexpr import canonicalize, parse, print_canonical, validate_schema
 from kbqa.store import LiteralValue
-from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
 
 from randgen import (RandomTokenScorer, StorePools, random_exec_ast, random_store,
@@ -198,8 +197,7 @@ def test_criterion_1_constrained_validity_and_direction():
     prepared = []
     for store in stores:
         vocab = build_vocabulary(store)
-        tables = DecodeTables(vocab, build_trie(store.classes(), vocab),
-                              build_trie(store.relations(), vocab))
+        tables = DecodeTables(vocab, store.classes(), store.relations())
         entities = sorted(store.all_entities())
         prepared.append((store, vocab, tables, entities))
     finished_total = 0
@@ -222,8 +220,7 @@ def test_criterion_1_constrained_validity_and_direction():
     case = CASES[2]
     extra = [case.question, " ".join(case.extra_words)]
     vocab = build_vocabulary(case.store, extra)
-    ctx = DecodeContext(DecodeTables(vocab, build_trie(case.store.classes(), vocab),
-                                     build_trie(case.store.relations(), vocab)))
+    ctx = DecodeContext(DecodeTables(vocab, case.store.classes(), case.store.relations()))
     error_target = tuple(encode_logical_form(vocab, case.error_variant)) + (vocab.end_id,)
     hyps = beam_search(OracleScorer(error_target, vocab.size, eps=0.0), (), ctx,
                        constrained=False, beam_size=4, max_len=64)

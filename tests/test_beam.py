@@ -1,17 +1,17 @@
 import math
 import random
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
 from kbqa.beam import Hypothesis, beam_search, sequence_nll
 from kbqa.fixtures import toy_store
-from kbqa.grammar import (DecodeContext, DecodeTables, advance, allowed_next, completion,
-                          initial_state, render_tokens)
+from kbqa.grammar import (DecodeContext, DecodeTables, GrammarState, advance, allowed_next,
+                          completion, initial_state, render_tokens)
 from kbqa.scorers import (NgramScorer, OracleScorer, SparseRow, UniformScorer,
                           ngram_scorer_from_forms)
 from kbqa.sexpr import parse, print_canonical, validate_schema
-from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
 
 from randgen import RandomTokenScorer, random_store
@@ -20,8 +20,7 @@ from randgen import RandomTokenScorer, random_store
 def make_ctx(store=None, linked=("e1", "ox1", "eng1"), extra=()):
     store = store or toy_store()
     vocab = build_vocabulary(store, extra)
-    tables = DecodeTables(vocab, build_trie(store.classes(), vocab),
-                          build_trie(store.relations(), vocab))
+    tables = DecodeTables(vocab, store.classes(), store.relations())
     ctx = DecodeContext(tables, linked)
     return ctx, store
 
@@ -37,7 +36,6 @@ def test_oracle_decodes_target_exactly():
                        beam_size=10)
     assert len(hyps) == 1
     assert hyps[0].tokens == target
-    assert hyps[0].finished
     assert render_tokens(hyps[0].tokens, ctx) == \
         "(ARGMIN sf.engine sf.chamber_pressure)"
 
@@ -269,6 +267,13 @@ def test_log_prob_non_increasing_along_path():
         assert hyp.log_prob <= 1e-12
 
 
+class Live(NamedTuple):
+    """A live hypothesis of the reference beam."""
+    tokens: tuple
+    log_prob: float
+    state: Optional[GrammarState]
+
+
 def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
                           max_len=128):
     """The beam step as a Python sort over every allowed child, kept as
@@ -282,7 +287,7 @@ def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
         return (-quantize(hyp.log_prob), hyp.tokens)
 
     end_id = ctx.tables.end_id
-    live = [Hypothesis((), 0.0, initial_state())]
+    live = [Live((), 0.0, initial_state())]
     finished = []
     for _ in range(max_len):
         candidates = []
@@ -319,9 +324,9 @@ def reference_beam_search(scorer, context, ctx, constrained=True, beam_size=10,
             else:
                 state = advance(hyp.state, token, ctx) if hyp.state is not None else None
             if token == end_id and (not constrained or state is not None):
-                finished.append(Hypothesis(tokens, log_prob, state, True))
+                finished.append(Hypothesis(tokens, log_prob))
             else:
-                next_live.append(Hypothesis(tokens, log_prob, state, False))
+                next_live.append(Live(tokens, log_prob, state))
         live = next_live
         if not live:
             break

@@ -203,6 +203,29 @@ def test_datetime_comparison():
     assert evaluate(parse("(gt k.c.when 2049-01-01^^datetime)"), store).is_empty()
 
 
+def test_datetimes_with_and_without_an_offset_are_incomparable():
+    """A datetime with a UTC offset and one without compare as mixed
+    kinds do: the comparison skips the pair and the superlative is a
+    type error, in the evaluator and in the SPARQL subset evaluator."""
+    from kbqa.executor import compile_sparql, evaluate_sparql_subset
+    builder = StoreBuilder()
+    for entity in ("a", "b"):
+        builder.add_triple(entity, "type_rel", "k.c")
+    builder.add_triple("a", "k.c.when", parse_literal("2001-01-05T10:00+00:00^^datetime"))
+    builder.add_triple("b", "k.c.when", parse_literal("2001-01-07^^datetime"))
+    store = builder.freeze()
+    for text, want in (("(lt k.c.when 2049-01-01^^datetime)", {"b"}),
+                       ("(lt k.c.when 2049-01-01T00:00+00:00^^datetime)", {"a"}),
+                       ("(gt k.c.when 2001-01-06^^datetime)", {"b"})):
+        form = parse(text)
+        assert evaluate(form, store).entities == want, text
+        assert evaluate_sparql_subset(compile_sparql(form), store).entities == want, text
+        assert is_valid_prediction(text, store)
+    with pytest.raises(EvalTypeError, match="mixed literal kinds"):
+        evaluate(parse("(ARGMIN k.c k.c.when)"), store)
+    assert not is_valid_prediction("(ARGMAX k.c k.c.when)", store)
+
+
 def test_canonicalize_preserves_evaluation(toy):
     from kbqa.sexpr import canonicalize
     rng = random.Random(606)

@@ -8,7 +8,6 @@ from kbqa.grammar import (_FOLLOW, _MAY_END, _SLOTS, _TRIE_SLOTS, NEVER, DecodeC
 from kbqa.pipeline import Pipeline
 from kbqa.sexpr import parse, print_canonical, validate_schema
 from kbqa.store import LiteralValue, StoreBuilder
-from kbqa.trie import build_trie
 from kbqa.vocab import build_vocabulary, encode_logical_form
 
 from randgen import random_store
@@ -17,8 +16,7 @@ from randgen import random_store
 def make_ctx(store=None, linked=("e1", "ox1")):
     store = store or toy_store()
     vocab = build_vocabulary(store)
-    tables = DecodeTables(vocab, build_trie(store.classes(), vocab),
-                          build_trie(store.relations(), vocab))
+    tables = DecodeTables(vocab, store.classes(), store.relations())
     return DecodeContext(tables, linked), store
 
 

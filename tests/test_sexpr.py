@@ -56,6 +56,19 @@ def test_unbalanced_input_is_positioned_error():
     assert err.value.pos == len("(JOIN r")
 
 
+@pytest.mark.parametrize("sep", ["\u00a0", "\u2028"])
+def test_parse_error_after_a_unicode_separator_keeps_its_position(sep):
+    """U+00A0 and U+2028 separate tokens as a space does, and an error
+    after them points at the offending token, not past it."""
+    for text, bad in ((f"(COUNT{sep}a){sep}extra", "extra"),
+                      (f"{sep}(JOIN{sep}r{sep}e1{sep})){sep}", ")"),
+                      (f"(AND{sep}a{sep}){sep}", ")")):
+        with pytest.raises(SexprParseError) as err:
+            parse(text)
+        assert err.value.pos == text.rindex(bad), text
+    assert parse(f"(JOIN{sep}r{sep}e1)") == parse("(JOIN r e1)")
+
+
 def test_unknown_operator_rejected():
     with pytest.raises(SexprParseError):
         parse("(UNION a b)")

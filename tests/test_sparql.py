@@ -148,16 +148,19 @@ def test_distinct_over_many_answers_is_linear():
 @pytest.mark.parametrize("text", [
     "(JOIN r 2001-01-01^^gYear)",
     "(gt r 2001-06-01^^gYear)",
+    "(lt r 1995^^gYear)",
     "(JOIN m 3^^myunit)",
     "(lt m 5^^myunit)",
 ])
 def test_differential_on_store_literal_tags(text):
     """The subset evaluator reads a typed literal as the store does:
-    gYear is a datetime, and an unknown tag on a number keeps it a number."""
+    gYear is a datetime, also as a bare year or year and month, and an
+    unknown tag on a number keeps it a number."""
     import io
     from kbqa.store import StoreBuilder
     store = StoreBuilder().load_triples(io.StringIO(
         "a\tr\t2001-01-01^^gYear\nb\tr\t2002-01-01^^gYear\n"
+        "f\tr\t1990^^gYear\ng\tr\t\"1990-05\"^^gYearMonth\n"
         "c\tm\t3^^myunit\nd\tm\t7^^myunit\ne\tm\t2.5^^myunit\n")).freeze()
     differential(parse(text), store)
     assert evaluate(parse(text), store).entities

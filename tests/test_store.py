@@ -516,6 +516,32 @@ def test_columns_match_the_reference_index_on_random_stores(monkeypatch):
     assert_matches_reference(toy_store(), TOY_TRIPLES, EntityText(TOY_LABELS, TOY_ALIASES))
 
 
+def test_xsd_year_and_year_month_literals_ingest_as_their_first_day():
+    """A gYear payload YYYY reads as January 1 of the year, a gYearMonth
+    payload YYYY-MM as the first of the month, quoted or not; full ISO
+    dates keep their day; and the dump of such a store ingests back to
+    the same dump."""
+    from datetime import datetime
+    year, month = datetime(1990, 1, 1), datetime(1990, 5, 1)
+    assert parse_literal("1990^^gYear") == LiteralValue("datetime", year, "gYear")
+    assert parse_literal('"1990"^^gYear') == LiteralValue("datetime", year, "gYear")
+    assert parse_literal('"1990-05"^^gYearMonth') == \
+        LiteralValue("datetime", month, "gYearMonth")
+    assert parse_literal("1990-05^^gYearMonth").value == month
+    assert parse_literal("2001-06-01^^gYear").value == datetime(2001, 6, 1)
+    assert parse_literal("2001-01-05T10:30:00^^datetime").value == \
+        datetime(2001, 1, 5, 10, 30)
+    for bad in ("1990-13^^gYearMonth", "199^^gYear", "1990-5^^gYearMonth"):
+        with pytest.raises(ValueError):
+            parse_literal(bad)
+    store, added = tsv_store('a\tr\t1990^^gYear\nb\tr\t"1990"^^gYear\n'
+                             'c\tr\t"1990-05"^^gYearMonth\nd\tr\t2001-06-01^^gYear')
+    assert_matches_reference(store, added)
+    dumped = list(store.dump_triples_tsv())
+    rebuilt = StoreBuilder().load_triples(line + "\n" for line in dumped).freeze()
+    assert list(rebuilt.dump_triples_tsv()) == dumped
+
+
 def test_equal_literals_under_one_subject_and_relation_keep_the_first():
     store, added = tsv_store("a\tr\t5^^integer\na\tr\t5.0^^float")
     assert len(store) == 1

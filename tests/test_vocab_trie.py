@@ -5,24 +5,43 @@ import pytest
 from kbqa.enumerator import StartPoint, enumerate_elfs
 from kbqa.errors import TokenizeError
 from kbqa.fixtures import toy_store
+from kbqa.grammar import DecodeTables
 from kbqa.pipeline import assemble_context
 from kbqa.retrieve import Question, ScoredCandidate
 from kbqa.sexpr import And, iter_nodes, print_canonical
 from kbqa.store import LiteralValue, SchemaItem, StoreBuilder
-from kbqa.trie import build_trie
-from kbqa.vocab import (SECTION_ELFS, SECTION_SCHEMA, UNK, Vocabulary,
+from kbqa.vocab import (SECTION_ELFS, SECTION_SCHEMA, SEPARATORS, UNK, Vocabulary,
                         build_vocabulary, encode_logical_form, encode_text,
                         tokenize_literal, tokenize_name)
 from randgen import random_store
 
 
-def items_of(trie, vocab):
-    """Every terminal path spelled out: the items the trie was built on."""
-    return sorted("".join(vocab.tokens(path)) for path in trie.terminal_paths())
+def walk(children, path=()):
+    """Every node of a trie given as its root's children, with its path
+    of token ids."""
+    for token_id, node in children.items():
+        yield path + (token_id,), node
+        yield from walk(node.children, path + (token_id,))
 
 
-def contains(trie, token_ids):
-    node = trie.walk(token_ids)
+def names_of(children, vocab):
+    """Every complete name in the trie, spelled out: the names the
+    tables were built on."""
+    return sorted("".join(vocab.tokens(path)) for path, node in walk(children)
+                  if node.terminal)
+
+
+def shape(children):
+    return sorted((path, node.terminal) for path, node in walk(children))
+
+
+def contains(children, token_ids):
+    node = None
+    for token_id in token_ids:
+        node = children.get(token_id)
+        if node is None:
+            return False
+        children = node.children
     return node is not None and node.terminal
 
 
@@ -131,26 +150,32 @@ def test_trie_textbook_shape():
     vocab.add("ab")
     vocab.add("ac")
     vocab.freeze()
-    trie = build_trie(["ab", "ac"], vocab)
-    root_children = trie.root.children
+    tables = DecodeTables(vocab, ["ab", "ac"], [])
+    root_children = tables.sets["classes"]
     assert set(vocab.token(t) for t in root_children) == {"ab", "ac"}
     for child in root_children.values():
         assert child.terminal and not child.children
+    assert tables.sets["relations"] == {}
 
 
 def test_trie_exactness_on_catalog(toy):
     vocab = build_vocabulary(toy)
-    trie = build_trie(toy.classes(), vocab)
-    assert items_of(trie, vocab) == toy.classes()
-    rel_trie = build_trie(toy.relations(), vocab)
-    assert items_of(rel_trie, vocab) == toy.relations()
-    assert contains(rel_trie, [vocab.id(t) for t in tokenize_name("ms.length_units")])
-    assert not contains(rel_trie, [vocab.id(t) for t in tokenize_name("ms.length")])
+    tables = DecodeTables(vocab, toy.classes(), toy.relations())
+    assert names_of(tables.sets["classes"], vocab) == toy.classes()
+    relations = tables.sets["relations"]
+    assert names_of(relations, vocab) == toy.relations()
+    assert contains(relations, vocab.name_ids("ms.length_units"))
+    assert not contains(relations, [vocab.id(t) for t in tokenize_name("ms.length")])
 
 
 def test_trie_exactness_random_item_sets():
+    """Over 30 random catalogs, the relation trie holds exactly the
+    names, and a complete name goes on only with a separator token: the
+    word(sep word)* shape of `tokenize_name` guarantees it, and the
+    grammar's exit from a complete name rests on it."""
     rng = random.Random(31)
     words = ["unit", "system", "alpha", "beta", "core", "value", "of", "kind"]
+    open_terminals = 0
     for _ in range(30):
         n = rng.randint(1, 200)
         items = set()
@@ -164,27 +189,39 @@ def test_trie_exactness_random_item_sets():
             builder.add_schema_item(SchemaItem("relation", item))
         store = builder.freeze()
         vocab = build_vocabulary(store)
-        trie = build_trie(sorted(items), vocab)
-        assert set(items_of(trie, vocab)) == items
+        tables = DecodeTables(vocab, [], sorted(items))
+        assert set(names_of(tables.sets["relations"], vocab)) == items
+        separator_ids = {vocab.id(sep) for sep in SEPARATORS}
+        for _, node in walk(tables.sets["relations"]):
+            if node.terminal:
+                assert set(node.children) <= separator_ids
+                open_terminals += bool(node.children)
+    assert open_terminals > 0
 
 
 def test_empty_trie():
     vocab = Vocabulary().freeze()
-    trie = build_trie([], vocab)
-    assert not trie.root.terminal
-    assert not trie.root.children
-    assert items_of(trie, vocab) == []
+    tables = DecodeTables(vocab, [], [])
+    assert tables.sets["classes"] == {} and tables.sets["relations"] == {}
+    assert names_of(tables.sets["classes"], vocab) == []
+    # the root is never terminal: the empty name is refused
+    with pytest.raises(TokenizeError, match="''"):
+        DecodeTables(vocab, [""], [])
 
 
 def test_trie_insertion_order_irrelevant(toy):
     vocab = build_vocabulary(toy)
-    forward = build_trie(toy.relations(), vocab)
-    backward = build_trie(list(reversed(toy.relations())), vocab)
-    assert items_of(forward, vocab) == items_of(backward, vocab)
+    forward = DecodeTables(vocab, toy.classes(), toy.relations())
+    backward = DecodeTables(vocab, list(reversed(toy.classes())),
+                            list(reversed(toy.relations())))
+    for kind in ("classes", "relations"):
+        assert shape(forward.sets[kind]) == shape(backward.sets[kind])
+        assert names_of(forward.sets[kind], vocab) == names_of(backward.sets[kind], vocab)
 
 
-def test_build_trie_names_unknown_item():
+def test_tables_name_an_unknown_item():
     vocab = Vocabulary().freeze()
-    with pytest.raises(TokenizeError) as err:
-        build_trie(["zz.yy"], vocab)
-    assert "zz.yy" in str(err.value)
+    for classes, relations in ((["zz.yy"], []), ([], ["zz.yy"])):
+        with pytest.raises(TokenizeError) as err:
+            DecodeTables(vocab, classes, relations)
+        assert "zz.yy" in str(err.value)
