@@ -2,9 +2,9 @@
 outputs, and one SHA-256 per stream.
 
 A record is one JSON line. For a prediction it holds
-`Prediction.to_json()` without `timing`, and the beam hypotheses that
-`predict` saw, each with its tokens, rendered text and log-probability
-by `float.hex`. The streams:
+`Prediction.to_json()` without `timing`, and the question's full beam
+from `Pipeline.decode`, each hypothesis with its tokens, rendered text
+and log-probability by `float.hex`. The streams:
 
 - `desk`: the desk suite of `test_acceptance.py`, constrained and
   unconstrained, each item with its scripted scorer;
@@ -66,25 +66,14 @@ def _line(record) -> str:
 
 
 def _prediction_record(pipe: Pipeline, question: str, qid: str) -> dict:
-    """`predict` of one question, with every hypothesis its beam search
-    gave, each rendered as `decode` renders it."""
-    seen = []
-    search = pipe._search
-
-    def recording(prepared):
-        hypotheses, decode_ctx = search(prepared)
-        seen.extend((hyp, pipe._render(hyp, decode_ctx)) for hyp in hypotheses)
-        return hypotheses, decode_ctx
-
-    pipe._search = recording
-    try:
-        prediction = pipe.predict(question, qid)
-    finally:
-        del pipe._search
-    record = prediction.to_json()
+    """`predict` of one question, with the question's full beam as
+    `decode` gives it: every hypothesis with its rendered text, whether
+    or not `predict` reached it."""
+    decoded = pipe.decode(pipe.prepare(question))
+    record = pipe.predict(question, qid).to_json()
     del record["timing"]
     record["hypotheses"] = [[text, hyp.log_prob.hex(), list(hyp.tokens)]
-                            for hyp, text in seen]
+                            for hyp, text in decoded]
     return record
 
 
