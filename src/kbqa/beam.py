@@ -15,13 +15,20 @@ token may follow any prefix, a hypothesis finishes on the first end
 token, grammatical or not, and no grammar state is kept. The search
 returns finished hypotheses only, each its tokens and its score; the
 live beam's grammar states stay inside it.
+
+`iter_beam_search` yields them one at a time, each as soon as its rank
+is final: after a step, the best finished hypothesis not yet yielded is
+certain once every live hypothesis sorts after it, since a path's score
+never rises and its tokens only sort later. A caller that stops at the
+first hypothesis it accepts spends no rows past that point;
+`beam_search` is the whole of it, as a list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
@@ -38,7 +45,7 @@ class TokenScorer(Protocol):
     step, and `reentrant = False` serialises calls across threads.
 
     Every value is a log-probability, at most 0 (-inf allowed): the exact
-    early stop of `beam_search` assumes that a path's score never rises.
+    early stops of the search assume that a path's score never rises.
     `ExternalTokenScorer` rejects a row with a value above 0 or a NaN;
     in-process scorers are trusted, and their rows are not checked."""
 
@@ -86,27 +93,32 @@ def _top_ids(row: np.ndarray, k: int) -> np.ndarray:
     return order if finite.all() else order[:int(finite.argmin())]
 
 
-def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
-                constrained: bool = True, beam_size: int = 10,
-                max_len: int = 128) -> list[Hypothesis]:
-    """Top finished hypotheses, score-descending, ties broken by token
-    sequence; at most beam_size results. Empty when every path
-    dead-ends before finishing.
+def iter_beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
+                     constrained: bool = True, beam_size: int = 10,
+                     max_len: int = 128) -> Iterator[Hypothesis]:
+    """`beam_search`'s hypotheses one at a time, in rank order, each as
+    soon as its rank is final; a caller that stops asking spends no
+    more scorer rows.
 
-    Two rules stop the search before `max_len` steps, and neither
-    changes what it returns. Once beam_size hypotheses have finished,
-    it stops when no live one can sort before the k-th of them. In
-    constrained mode, it also stops after a step when every live
-    hypothesis needs more tokens to finish (`grammar.completion`, which
-    is exact) than steps are left: none of them can add a finished
-    hypothesis any more."""
+    After each step, the best finished hypothesis not yet yielded is
+    yielded once every live hypothesis sorts after it: along a path the
+    score never rises and the tokens only sort later, so no hypothesis
+    still to finish can sort before it. The search returns once
+    beam_size hypotheses have been yielded, which is exactly when the
+    k-th best finished one sorts before every live one. It also stops
+    when the beam has no live hypothesis, after max_len steps, or, in
+    constrained mode, after a step in which every live hypothesis needs
+    more tokens to finish (`grammar.completion`, which is exact) than
+    steps are left; then the rest are yielded in rank order."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     end_id = ctx.tables.end_id
     # The live beam as (tokens, log_prob, state), kept in token order;
     # unconstrained, the state stays None, as nothing reads it.
     live = [((), 0.0, initial_state() if constrained else None)]
-    finished: list[Hypothesis] = []
+    # Finished hypotheses not yet yielded, and how many may still be.
+    pending: list[Hypothesis] = []
+    left = beam_size
 
     for step in range(max_len):
         # Every child of the live beam, in (parent, token) order.
@@ -132,34 +144,49 @@ def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
         # Live hypotheses are distinct, equally long and kept in token
         # order, so (parent, token) order is token-sequence order, and a
         # stable sort on the quantised score breaks ties by it.
-        order = np.argsort(-_quantize(np.array(scores)), kind="stable")[:beam_size]
+        quantized = _quantize(np.array(scores))
+        ranked = np.argsort(-quantized, kind="stable")[:beam_size].tolist()
         # Kept in (parent, token) order, the next beam is in token order.
         next_live = []
-        for j in sorted(order.tolist()):
+        for j in sorted(ranked):
             prefix, _, state = live[parents[j]]
             token = tokens[j]
             if token == end_id:
-                finished.append(Hypothesis(prefix + (token,), scores[j]))
+                pending.append(Hypothesis(prefix + (token,), scores[j]))
             else:
                 if constrained:
                     state = advance(state, token, ctx)
                 next_live.append((prefix + (token,), scores[j], state))
+        if pending and next_live:
+            # The first child in rank order that does not finish sorts
+            # before every other live hypothesis.
+            first = next(j for j in ranked if tokens[j] != end_id)
+            first_live = (-quantized[first], live[parents[first]][0] + (tokens[first],))
+            pending.sort(key=Hypothesis.sort_key)
+            while pending and pending[0].sort_key() < first_live:
+                yield pending.pop(0)
+                left -= 1
+                if not left:
+                    return
         live = next_live
         if not live:
             break
         steps_left = max_len - step - 1
         if constrained and all(completion(state, ctx) > steps_left for _, _, state in live):
             break
-        if len(finished) >= beam_size:
-            # Along a path the score never rises and the tokens only
-            # sort later, so once every live hypothesis sorts after the
-            # k-th best finished one, none of its children can enter.
-            kth = sorted(finished, key=Hypothesis.sort_key)[beam_size - 1]
-            if min((-_quantize(lp), prefix) for prefix, lp, _ in live) > kth.sort_key():
-                break
 
-    finished.sort(key=Hypothesis.sort_key)
-    return finished[:beam_size]
+    pending.sort(key=Hypothesis.sort_key)
+    yield from pending[:left]
+
+
+def beam_search(scorer: TokenScorer, context: Sequence[int], ctx: DecodeContext,
+                constrained: bool = True, beam_size: int = 10,
+                max_len: int = 128) -> list[Hypothesis]:
+    """Top finished hypotheses, score-descending, ties broken by token
+    sequence; at most beam_size results. Empty when every path
+    dead-ends before finishing. The whole of `iter_beam_search`, whose
+    stops change nothing in the list."""
+    return list(iter_beam_search(scorer, context, ctx, constrained, beam_size, max_len))
 
 
 def sequence_nll(scorer: TokenScorer, context: Sequence[int],

@@ -184,16 +184,7 @@ class SparqlQuery:
 def _sparql_literal(lit: LiteralValue) -> str:
     if lit.kind == "string" and lit.type_tag is None:
         return '"%s"' % str(lit.value).replace('"', '\\"')
-    tag = lit.type_tag or lit.kind
-    if lit.kind == "float":
-        body = repr(float(lit.value))
-    elif lit.kind == "integer":
-        body = str(int(lit.value))
-    elif lit.kind == "datetime":
-        body = lit.value.isoformat()
-    else:
-        body = str(lit.value)
-    return f'"{body}"^^<{tag}>'
+    return f'"{lit.lexical()}"^^<{lit.type_tag or lit.kind}>'
 
 
 _CMP_SYMBOL = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}

@@ -11,7 +11,7 @@ import threading
 import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
@@ -19,7 +19,8 @@ from typing import (Callable, ClassVar, Iterable, Iterator, Mapping, Optional, S
                     Union)
 
 from . import vocab as vocab_mod
-from .beam import Hypothesis, TokenScorer, beam_search
+# beam_search is read here by name when benchmarks/run.py traces a run.
+from .beam import Hypothesis, TokenScorer, beam_search, iter_beam_search  # noqa: F401
 from .enumerator import EnumConfig, StartPoint, enumerate_elfs
 from .errors import DataError, KbqaError, TokenizeError
 from .executor import evaluate, is_valid_prediction
@@ -366,22 +367,40 @@ class Pipeline:
             store=self.store))
         return Prepared(links, ranked_elfs, context, timing, errors)
 
-    def _search(self, prepared: Prepared) -> tuple[list[Hypothesis], DecodeContext]:
-        """Beam hypotheses in rank order, and the question's decode
-        context that renders them; timed as "decode", and a failed
-        search degrades to none, recorded under "decode"."""
+    def _search(self, prepared: Prepared) -> tuple[Iterator[Hypothesis], DecodeContext]:
+        """Beam hypotheses in rank order, each as soon as its rank is
+        final, and the question's decode context that renders them.
+        Time spent inside the search adds up as timing["decode"]; a
+        failed search ends the hypotheses, recorded under "decode". A
+        non-reentrant scorer's lock is held from the first hypothesis
+        asked for until the iterator ends or is closed."""
         decode_ctx = DecodeContext(self.tables, [link.entity for link in prepared.links])
+        timing, errors = prepared.timing, prepared.stage_errors
+        timing["decode"] = 0.0
 
-        def search():
+        def search() -> Iterator[Hypothesis]:
+            clock = time.perf_counter
+            t0 = clock()
             scorer = self.token_scorer
             reentrant = getattr(scorer, "reentrant", True)
             with nullcontext() if reentrant else self._scorer_lock:
-                return beam_search(
+                hypotheses = iter_beam_search(
                     scorer, prepared.context.token_ids, decode_ctx,
                     constrained=self.cfg.constrained, beam_size=self.cfg.beam_size,
                     max_len=self.cfg.max_output_tokens)
-        return _timed_stage(prepared.timing, "decode", search,
-                            prepared.stage_errors, []), decode_ctx
+                while True:
+                    try:
+                        hyp = next(hypotheses)
+                    except StopIteration:
+                        return
+                    except KbqaError as exc:
+                        errors["decode"] = str(exc)
+                        return
+                    finally:
+                        timing["decode"] += clock() - t0
+                    yield hyp
+                    t0 = clock()
+        return search(), decode_ctx
 
     def _render(self, hyp: Hypothesis, decode_ctx: DecodeContext) -> str:
         """The hypothesis's logical-form text, or its raw tokens joined
@@ -390,11 +409,15 @@ class Pipeline:
                 or raw_join(self.vocab, hyp.tokens, skip={self.vocab.end_id}))
 
     def decode(self, prepared: Prepared) -> list[tuple[Hypothesis, str]]:
-        """Beam hypotheses in rank order, each with its rendered text,
-        all timed as "decode"; a failed decode degrades to none,
-        recorded under "decode". `predict` instead renders lazily."""
+        """The whole beam in rank order, each hypothesis with its
+        rendered text, all timed as "decode"; a failed decode degrades
+        to none, recorded under "decode". `predict` instead stops the
+        search at its winner and renders lazily."""
         t0 = time.perf_counter()
         hypotheses, decode_ctx = self._search(prepared)
+        hypotheses = list(hypotheses)
+        if "decode" in prepared.stage_errors:
+            hypotheses = []
         decoded = [(hyp, self._render(hyp, decode_ctx)) for hyp in hypotheses]
         prepared.timing["decode"] = time.perf_counter() - t0
         return decoded
@@ -404,11 +427,15 @@ class Pipeline:
     def predict(self, question_text: str, qid: str = "q0") -> Prediction:
         """The first candidate that passes the execution check wins:
         generated hypotheses in beam order, then the ranked exemplary
-        forms. A hypothesis is rendered only when the check reaches it,
-        within timing["validate"]. Only errors with no fallback escape."""
+        forms. The search yields each hypothesis as soon as its rank is
+        final and is closed at the winner, so timing["decode"] counts
+        only the rows asked for. A hypothesis is rendered only when the
+        check reaches it, within timing["validate"]. Only errors with
+        no fallback escape."""
         clock = time.perf_counter
         t_start = clock()
         prepared = self.prepare(question_text)
+        timing = prepared.timing
         hypotheses, decode_ctx = self._search(prepared)
 
         t0 = clock()
@@ -419,15 +446,15 @@ class Pipeline:
         chosen_form: Optional[str] = None
         answers: Optional[tuple[str, ...]] = None
         provenance, beam_rank = "none", None
-        for form, source, rank in candidates:
-            if is_valid_prediction(form, self.store):
-                parsed = parse(form) if isinstance(form, str) else form
-                chosen_form = print_canonical(parsed)
-                answers = tuple(evaluate(parsed, self.store).strings())
-                provenance, beam_rank = source, rank
-                break
-        timing = prepared.timing
-        timing["validate"] = clock() - t0
+        with closing(hypotheses):
+            for form, source, rank in candidates:
+                if is_valid_prediction(form, self.store):
+                    parsed = parse(form) if isinstance(form, str) else form
+                    chosen_form = print_canonical(parsed)
+                    answers = tuple(evaluate(parsed, self.store).strings())
+                    provenance, beam_rank = source, rank
+                    break
+        timing["validate"] = clock() - t0 - timing["decode"]
         timing["total"] = clock() - t_start
 
         context_dump = None

@@ -37,7 +37,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, time
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -85,19 +85,41 @@ class LiteralValue:
     def is_numeric(self) -> bool:
         return self.kind in ("float", "integer")
 
+    def lexical(self) -> str:
+        """The value's lexical form, unquoted and untagged. A datetime
+        prints in its tag's form (`YYYY` for gYear, `YYYY-MM` for
+        gYearMonth, `YYYY-MM-DD` for date) when the value holds nothing
+        finer than that form, and with `isoformat()` otherwise."""
+        if self.kind == "float":
+            return repr(float(self.value))
+        if self.kind == "integer":
+            return str(int(self.value))
+        if self.kind == "datetime":
+            return _datetime_lexical(self.value, self.type_tag)
+        return str(self.value)
+
     def text(self) -> str:
         """Canonical rendering; `value^^tag` when a tag is present."""
-        if self.kind == "float":
-            base = repr(float(self.value))
-        elif self.kind == "integer":
-            base = str(int(self.value))
-        elif self.kind == "datetime":
-            base = self.value.isoformat()
-        else:
+        if self.kind == "string":
             base = '"%s"' % str(self.value).replace('"', '\\"')
+        else:
+            base = self.lexical()
         if self.type_tag:
             return f"{base}^^{self.type_tag}"
         return base
+
+
+def _datetime_lexical(value: datetime, tag: Optional[str]) -> str:
+    """`LiteralValue.lexical` of a datetime; `parse_literal` reads each
+    form back to the same value."""
+    if value.time() == time() and value.tzinfo is None:
+        if tag == "gYear" and (value.month, value.day) == (1, 1):
+            return f"{value.year:04d}"
+        if tag == "gYearMonth" and value.day == 1:
+            return f"{value.year:04d}-{value.month:02d}"
+        if tag == "date":
+            return value.date().isoformat()
+    return value.isoformat()
 
 
 def _strip_quotes(text: str) -> tuple[str, bool]:

@@ -5,7 +5,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
-from kbqa.beam import Hypothesis, beam_search, sequence_nll
+from kbqa.beam import Hypothesis, beam_search, iter_beam_search, sequence_nll
 from kbqa.fixtures import toy_store
 from kbqa.grammar import (DecodeContext, DecodeTables, GrammarState, advance, allowed_next,
                           completion, initial_state, render_tokens)
@@ -369,6 +369,42 @@ def test_array_step_matches_reference_loop():
                     assert counted.calls <= reference.calls
                     compared += len(got)
     assert compared > 100
+
+
+def test_lazy_search_yields_the_reference_beam_and_stops_early():
+    """iter_beam_search yields the reference loop's hypotheses, log_prob
+    bits included, one at a time in rank order, constrained and
+    unconstrained, over random and tied rows. The rows spent by the
+    time the k-th one is yielded, the cost of stopping there, never
+    fall with k and never pass the whole search's; stopping after the
+    first often costs fewer."""
+    rng = random.Random(20261021)
+    stores = [toy_store()] + [random_store(rng, max_entities=20) for _ in range(4)]
+    compared = cheaper = 0
+    for n, store in enumerate(stores):
+        entities = sorted(store.all_entities())
+        ctx, _ = make_ctx(store, linked=entities[:1 + n % 3])
+        size = ctx.tables.vocab.size
+        scorers = [RandomTokenScorer(size, seed=10 * n + seed) for seed in range(3)]
+        scorers.append(TiedScorer(size, n, "dense"))
+        for scorer in scorers:
+            for constrained in (True, False):
+                for beam_size in (1, 3, 10):
+                    args = dict(constrained=constrained, beam_size=beam_size, max_len=40)
+                    want = reference_beam_search(scorer, (), ctx, **args)
+                    counted = CountingScorer(scorer)
+                    got, rows = [], []
+                    for hyp in iter_beam_search(counted, (), ctx, **args):
+                        got.append(hyp)
+                        rows.append(counted.calls)
+                    assert got == want, (n, constrained, beam_size)
+                    assert [h.log_prob.hex() for h in got] == \
+                        [h.log_prob.hex() for h in want]
+                    assert got == beam_search(scorer, (), ctx, **args)
+                    assert rows == sorted(rows) and all(r <= counted.calls for r in rows)
+                    compared += len(got)
+                    cheaper += bool(rows) and rows[0] < counted.calls
+    assert compared > 200 and cheaper > 40
 
 
 class CountingScorer:

@@ -467,6 +467,102 @@ def test_non_reentrant_scorer_is_serialized(toy):
         assert [p.qid for p in predictions] == [f"q{i}" for i in range(4)]
 
 
+class CountingTokenScorer:
+    """Forwards next_log_probs and counts the calls; the call numbered
+    `fail_at`, when given, raises ScorerProtocolError instead."""
+
+    def __init__(self, inner, reentrant=True, fail_at=None):
+        self.inner, self.reentrant, self.fail_at, self.calls = inner, reentrant, fail_at, 0
+
+    def next_log_probs(self, context, prefix):
+        from kbqa.errors import ScorerProtocolError
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ScorerProtocolError("scorer went away")
+        return self.inner.next_log_probs(context, prefix)
+
+
+def counted_pipeline(store, **kwargs):
+    """A pipeline over an eps-0.1 oracle for GOLD_CASE_ONE, its scorer
+    wrapped in a CountingTokenScorer."""
+    pipe = Pipeline(store, PipelineConfig(), token_scorer=oracle_factory(GOLD_CASE_ONE, eps=0.1))
+    pipe.token_scorer = CountingTokenScorer(pipe.token_scorer, **kwargs)
+    return pipe
+
+
+def test_predict_stops_the_search_at_its_winner(toy):
+    """predict asks for strictly fewer rows than decode of the same
+    question, and answers with the first hypothesis of decode's whole
+    beam that passes the check."""
+    pipe = counted_pipeline(toy)
+    decoded = pipe.decode(pipe.prepare(QUESTION_ONE))
+    full, pipe.token_scorer.calls = pipe.token_scorer.calls, 0
+    prediction = pipe.predict(QUESTION_ONE, "q")
+    assert 0 < pipe.token_scorer.calls < full
+    from kbqa.executor import is_valid_prediction
+    rank = next(rank for rank, (_, text) in enumerate(decoded)
+                if is_valid_prediction(text, toy))
+    assert (prediction.provenance, prediction.beam_rank) == ("generated", rank)
+    assert prediction.logical_form == print_canonical(parse(decoded[rank][1]))
+    assert 0 < prediction.timing["decode"] < prediction.timing["total"]
+
+
+def test_scorer_failure_after_the_winner_is_final_is_not_reached(toy):
+    """A scorer that fails on the first row after the ones predict
+    needs: predict never asks for it and answers as before, while
+    decode, which runs the whole search, records the failure and, as
+    for any failed search, returns no hypothesis."""
+    pipe = counted_pipeline(toy)
+    want = pipe.predict(QUESTION_ONE, "q")
+    needed = pipe.token_scorer.calls
+    pipe.token_scorer.fail_at = needed + 1
+    pipe.token_scorer.calls = 0
+    got = pipe.predict(QUESTION_ONE, "q")
+    assert without_timing(got) == without_timing(want) and not got.stage_errors
+    pipe.token_scorer.calls = 0
+    prepared = pipe.prepare(QUESTION_ONE)
+    assert pipe.decode(prepared) == []
+    assert prepared.stage_errors["decode"] == "scorer went away"
+
+
+def test_predict_that_stops_early_releases_the_scorer_lock(toy, monkeypatch):
+    """With a non-reentrant scorer, a predict that closes the search at
+    its winner, and one whose candidate check raises while the search is
+    suspended, each release the scorer lock: a second predict, in
+    another thread, returns. The raised error's traceback is kept alive,
+    and with it the failed predict's frame, so only an explicit close
+    releases the lock."""
+    import threading
+
+    pipe = counted_pipeline(toy, reentrant=False)
+
+    def predict_in_a_thread():
+        results = []
+        worker = threading.Thread(target=lambda: results.append(pipe.predict(QUESTION_ONE)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "the scorer lock was not released"
+        return results[0]
+
+    first = pipe.predict(QUESTION_ONE)
+    asked = pipe.token_scorer.calls
+    assert first.provenance == "generated"
+    assert without_timing(predict_in_a_thread()) == without_timing(first)
+
+    def failing_check(form, store):
+        raise RuntimeError("check failed")
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline_mod, "is_valid_prediction", failing_check)
+        with pytest.raises(RuntimeError, match="check failed") as raised:
+            pipe.predict(QUESTION_ONE)
+    assert without_timing(predict_in_a_thread()) == without_timing(first)
+    assert raised.tb is not None
+    pipe.token_scorer.calls = 0
+    pipe.decode(pipe.prepare(QUESTION_ONE))
+    assert asked < pipe.token_scorer.calls  # the first predict stopped early
+
+
 def test_case_fixture_pipeline_end_to_end():
     case = case_disconnected_relation()
     pipe = Pipeline(case.store, PipelineConfig(),

@@ -542,6 +542,41 @@ def test_xsd_year_and_year_month_literals_ingest_as_their_first_day():
     assert list(rebuilt.dump_triples_tsv()) == dumped
 
 
+def test_datetime_literals_print_in_their_tags_lexical_form():
+    """A gYear prints as YYYY, a gYearMonth as YYYY-MM and a date as
+    YYYY-MM-DD when the value holds nothing finer; a finer value prints
+    with isoformat, as does every `datetime`-tagged one. The printed
+    forms reach logical forms and SPARQL, and a dump ingests back to
+    the same bytes."""
+    from kbqa.executor import compile_sparql
+    from kbqa.sexpr import parse, print_canonical
+    printed = {
+        "1990^^gYear": "1990^^gYear",
+        '"1990"^^gYear': "1990^^gYear",
+        "2001-01-01^^gYear": "2001^^gYear",
+        "0099^^gYear": "0099^^gYear",
+        "2001-06-01^^gYear": "2001-06-01T00:00:00^^gYear",
+        '"1990-05"^^gYearMonth': "1990-05^^gYearMonth",
+        "1990-05-02^^gYearMonth": "1990-05-02T00:00:00^^gYearMonth",
+        "2001-06-01^^date": "2001-06-01^^date",
+        "2001-06-01T10:30:00^^date": "2001-06-01T10:30:00^^date",
+        "2001-06-01^^datetime": "2001-06-01T00:00:00^^datetime",
+        "2001-06-01T00:00+00:00^^gYear": "2001-06-01T00:00:00+00:00^^gYear",
+    }
+    for text, want in printed.items():
+        literal = parse_literal(text)
+        assert literal.text() == want, text
+        assert parse_literal(want) == literal and parse_literal(want).text() == want
+    form = "(lt r 1995^^gYear)"
+    assert print_canonical(parse(form)) == form
+    assert '"1995"^^<gYear>' in compile_sparql(parse(form)).text
+    store, _ = tsv_store("\n".join(f"s{i}\tr\t{text}" for i, text in enumerate(printed)))
+    dumped = list(store.dump_triples_tsv())
+    assert "s0\tr\t1990^^gYear" in dumped and "s7\tr\t2001-06-01^^date" in dumped
+    rebuilt = StoreBuilder().load_triples(line + "\n" for line in dumped).freeze()
+    assert list(rebuilt.dump_triples_tsv()) == dumped
+
+
 def test_equal_literals_under_one_subject_and_relation_keep_the_first():
     store, added = tsv_store("a\tr\t5^^integer\na\tr\t5.0^^float")
     assert len(store) == 1
