@@ -339,6 +339,21 @@ def test_malformed_labels_file_is_a_data_error(kb_files, dataset, tmp_path, caps
         assert message in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("lines, message", [
+    # a new object token with an empty subject or relation
+    ("\tr.x\te2\n", "kb.tsv:1: triple needs non-empty subject and relation"),
+    ("e1\t\te2\n", "kb.tsv:1: triple needs non-empty subject and relation"),
+    ("e1\tr.x\t\n", "kb.tsv:1: empty object field"),
+    # an object token seen before, with an empty subject
+    ("e1\tr.x\te2\n\tr.x\te2\n", "kb.tsv:2: triple needs non-empty subject and relation"),
+])
+def test_empty_triple_field_is_a_data_error(lines, message, tmp_path, capsys):
+    kb = tmp_path / "kb.tsv"
+    kb.write_text(lines, encoding="utf-8")
+    assert run(["ingest", "--kb", str(kb), str(tmp_path / "store")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_meta_type_relation_is_a_data_error(tmp_path, capsys):
     """A store directory whose meta.json names no usable type relation
     is a data error, not a store without classes."""

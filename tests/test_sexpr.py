@@ -99,6 +99,20 @@ def test_bare_number_defaults_to_float():
     assert print_canonical(lf) == "(JOIN r 257.0)"
 
 
+@pytest.mark.parametrize("atom, node, printed", [
+    ("٣", LiteralRef, "3.0"),  # a decimal digit of another script
+    ("-5", LiteralRef, "-5.0"),
+    ("5^^x", LiteralRef, "5^^x"),
+    ("²", EntityRef, "²"),  # a digit, but not a decimal one
+    ("-", EntityRef, "-"),
+    ('"5"', EntityRef, '"5"'),
+])
+def test_atom_is_a_literal_only_when_number_shaped_or_tagged(atom, node, printed):
+    lf = parse(f"(JOIN r {atom})")
+    assert type(lf.sub) is node
+    assert print_canonical(lf) == f"(JOIN r {printed})"
+
+
 def test_case_strings_round_trip_canonically():
     for text in CASE_STRINGS:
         printed = print_canonical(parse(text))
