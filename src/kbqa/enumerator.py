@@ -5,8 +5,8 @@ to s-expressions.
 Only JOIN/AND chains are enumerated (no counting, comparatives, or
 superlatives); a class constraint may wrap each form at the outermost
 level. A class wrap is built join first, `And(join, ClassRef(c))`,
-which is its print order: a name that `vocab.tokenize_name` accepts
-starts with a letter or a digit, and both sort after the join's "(".
+which is its print order: a name of the shape `vocab.NAME_RE` starts
+with a letter or a digit, and both sort after the join's "(".
 So a form's node encodes as its print. Every emitted form has a
 non-empty denotation by construction, and the output is deduplicated
 by canonical print and ordered by (relation count, canonical print)

@@ -1,19 +1,19 @@
 """Incremental recognizer for the logical-form token language, used to
 mask illegal next tokens during beam search.
 
-The language is written once, in the move table `_MOVES`. A state is a
-slot, a stack of open constructs (operator, argument position) and, in
-a schema-name slot, a cursor into a prefix trie. Each slot lists its
-moves in the order `advance` tries them: a token set and the successor
-of a token in that set. `allowed_next` is the union of a slot's move
-sets; `continues_lexeme` asks whether a name or literal slot's own move
-takes the token.
+The language is written once, in the move table `_MOVES` and the token
+sets `_SETS` that it names. A state is a slot, a stack of open
+constructs (operator, argument position) and, in a schema-name slot, a
+cursor into a prefix trie. Each slot lists its moves in the order
+`advance` tries them: a token set and the successor of a token in it.
+`allowed_next` is the union of a slot's move sets; `continues_lexeme`
+asks whether a name or literal slot's own move takes the token.
 
 A slot in `_MAY_END` also lets a complete name (a terminal trie node)
 or number end: a token that none of its moves takes then starts the
 next child of the top frame. That exit is unambiguous because of the
-shape `tokenize_name` admits, word(sep word)*: a complete name can only
-continue with a separator token, and follow sets never contain one.
+shape `vocab.NAME_RE` of every name, word(sep word)*: a complete name
+can only continue with a separator token, and follow sets never hold one.
 
 Nested expression slots admit AND/JOIN and the comparatives; COUNT,
 ARGMIN, and ARGMAX are root-only. Entity slots are restricted to the
@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import TokenizeError
-from .vocab import DIGITS, TYPE_TAGS, Vocabulary
+from .vocab import DIGITS, END, TYPE_TAGS, Vocabulary
 
 NESTED_OPERATORS = ("AND", "JOIN", "lt", "le", "gt", "ge")
 ROOT_OPERATORS = NESTED_OPERATORS + ("COUNT", "ARGMIN", "ARGMAX")
@@ -150,8 +150,8 @@ def _accept(state: GrammarState, _, rest: dict) -> GrammarState:
 
 
 # The token language. A move is (token set, successor). The set names a
-# DecodeTables set, a trie root ("classes", "relations") or "cursor",
-# the children of the current trie node. The successor is a slot,
+# set of `_SETS`, a trie root ("classes", "relations") or "cursor", the
+# children of the current trie node. The successor is a slot,
 # entered with the same stack and, from a trie set, the child as cursor;
 # or it is _push (open the operator the token names), _close (close the
 # top frame), _end_child (the top frame's current child is complete) or
@@ -178,6 +178,11 @@ _MOVES = {
     "done": (("end", _accept),),
     "accepted": (),
 }
+# The tokens of each set that `_MOVES` names, but the linked entities'
+# and the tries'. The operator sets hold the operators' own tokens.
+_SETS = {"open": ("(",), "close": (")",), "end": (END,), "dot": (".",), "caret": ("^^",),
+         "r": ("R",), "root_ops": ROOT_OPERATORS, "nested_ops": NESTED_OPERATORS,
+         "digits": DIGITS, "tags": TYPE_TAGS, "float_tag": ("float",)}
 # Slots inside a schema name or literal: each of their moves extends it.
 _LEXEME = frozenset(("class", "relname", "lit_int", "lit_frac0", "lit_frac",
                      "lit_tag", "lit_tag_frac"))
@@ -196,9 +201,9 @@ class DecodeTables:
     once built, so any number of questions may share it:
     - a prefix trie over each kind of name, whose root's children are
       the sets "classes" and "relations";
-    - the token sets, the move table resolved against them for a
-      question with no linked entities, and per slot the union of its
-      move sets;
+    - `sets`, the token sets of `_SETS` and the tries' roots as ids,
+      the move table resolved against them for a question with no
+      linked entities, and per slot the union of its move sets;
     - `mask_ids`: every allowed set that does not read the linked
       entities, as a sorted tuple under its `mask_key`;
     - `dist`: per trie node, the tokens to its nearest terminal;
@@ -211,30 +216,12 @@ class DecodeTables:
         self.vocab = vocab
         # per trie slot, the trie's nodes, each before its children
         nodes = {"class": _trie(classes, vocab), "relname": _trie(relations, vocab)}
-        self.open_id = vocab.id("(")
-        self.close_id = vocab.id(")")
         self.end_id = vocab.end_id
-        self.dot_id = vocab.id(".")
-        self.caret_id = vocab.id("^^")
-        self.digit_ids = frozenset(vocab.id(d) for d in DIGITS)
-        self.tag_ids = frozenset(vocab.id(t) for t in TYPE_TAGS)
-        self.float_tag_ids = frozenset((vocab.id("float"),))
-        self.root_op_ids = frozenset(vocab.id(op) for op in ROOT_OPERATORS)
-        self.nested_op_ids = frozenset(vocab.id(op) for op in NESTED_OPERATORS)
         # Each set maps a token id to its payload: the trie child for a
         # trie set, the operator for an operator set, else None.
         self.sets = {
-            "open": {self.open_id: None},
-            "close": {self.close_id: None},
-            "end": {self.end_id: None},
-            "dot": {self.dot_id: None},
-            "caret": {self.caret_id: None},
-            "r": {vocab.id("R"): "R"},
-            "root_ops": {vocab.id(op): op for op in ROOT_OPERATORS},
-            "nested_ops": {vocab.id(op): op for op in NESTED_OPERATORS},
-            "digits": dict.fromkeys(self.digit_ids),
-            "tags": dict.fromkeys(self.tag_ids),
-            "float_tag": dict.fromkeys(self.float_tag_ids),
+            **{name: {vocab.id(token): token if token in _SLOTS else None for token in tokens}
+               for name, tokens in _SETS.items()},
             "classes": nodes["class"][0].children,
             "relations": nodes["relname"][0].children,
             "cursor": None,

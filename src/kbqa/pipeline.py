@@ -7,6 +7,7 @@ fallback.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from array import array
@@ -277,11 +278,12 @@ class PipelineConfig:
 def start_points(question: Question,
                  links: Sequence[LinkedEntity]) -> list[StartPoint]:
     """Enumeration start points: the linked entities, then the numbers
-    mentioned in the question outside every linked entity's mention."""
+    mentioned in the question outside every linked entity's mention. A
+    number beyond float range equals no store node, so it starts none."""
     starts = [StartPoint.entity(link.entity) for link in links]
     linked = {i for link in links for i in range(link.mention.start, link.mention.end)}
     for i, token in enumerate(question.tokens):
-        if i not in linked and NUMBER_RE.fullmatch(token):
+        if i not in linked and NUMBER_RE.fullmatch(token) and math.isfinite(float(token)):
             starts.append(StartPoint.literal(LiteralValue("float", float(token))))
     return starts
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import SexprParseError
-from .store import LiteralValue, TripleStore, parse_literal
+from .store import NUMBER_RE, LiteralValue, TripleStore, parse_literal
 
 OPERATORS = ("AND", "JOIN", "R", "COUNT", "ARGMIN", "ARGMAX", "lt", "le", "gt", "ge")
 COMPARE_OPS = ("lt", "le", "gt", "ge")
@@ -122,8 +122,7 @@ def _lex(text: str) -> list[tuple[str, int]]:
 
 
 def _looks_like_literal(token: str) -> bool:
-    return "^^" in token or parse_literal(token) is not None and (
-        token[0].isdigit() or token[0] == "-")
+    return "^^" in token or NUMBER_RE.fullmatch(token) is not None
 
 
 class _Parser:

@@ -64,8 +64,13 @@ class LiteralValue:
     def __post_init__(self):
         if self.kind not in ("float", "integer", "string", "datetime"):
             raise ValueError(f"unknown literal kind: {self.kind!r}")
-        if self.kind in ("float", "integer") and not math.isfinite(float(self.value)):
-            raise ValueError("numeric literals must be finite")
+        if self.kind in ("float", "integer"):
+            try:
+                finite = math.isfinite(float(self.value))
+            except OverflowError:  # an integer beyond float range
+                finite = False
+            if not finite:
+                raise ValueError("numeric literals must be finite")
 
     def _identity(self):
         if self.kind in ("float", "integer"):
@@ -322,8 +327,6 @@ class StoreBuilder:
         self._nodes = array("i")
         # string or literal (by LiteralValue equality) -> node id
         self._ids: dict[Object, int] = {}
-        # id() of each literal object added -> its term
-        self._literal_terms: dict[int, int] = {}
         self._catalog: dict[str, SchemaItem] = {}
         self._labels: dict[str, str] = {}
         self._alias_rows: list[tuple[str, str, float]] = []
@@ -347,19 +350,11 @@ class StoreBuilder:
     # -- triples -------------------------------------------------------
 
     def _term(self, obj: Object) -> int:
-        """The term of `obj`: a string's own node, or for a literal the
-        term of that very object, so that each row keeps the literal it
-        was written with."""
-        if isinstance(obj, str):
-            term = self._ids.get(obj)
-            if term is None:
-                term = self._ids[obj] = len(self._terms)
-                self._terms.append(obj)
-                self._nodes.append(term)
-            return term
-        term = self._literal_terms.get(id(obj))
+        """The term of `obj`: a string's own node, or for a literal a new
+        term, so that each row keeps the literal it was written with."""
+        term = self._ids.get(obj) if isinstance(obj, str) else None
         if term is None:
-            term = self._literal_terms[id(obj)] = len(self._terms)
+            term = len(self._terms)
             self._terms.append(obj)
             self._nodes.append(self._ids.setdefault(obj, term))
         return term
@@ -393,10 +388,10 @@ class StoreBuilder:
             raise DataError(f"unknown triple format: {fmt!r}")
         # A C-level split for TSV; the field count is checked below.
         split = _split_tabs if fmt == "tsv3" else _ntriples_fields
-        add_triple, add_row, term = self.add_triple, self._add_row, self._term
+        add_row, term = self._add_row, self._term
         # object token -> its term. A token parses the same way each
         # time, so a repeated one skips the parse, and the rows of a
-        # literal token share one object.
+        # literal token share one term.
         token_terms: dict[str, int] = {}
 
         def parse_row(line: str) -> None:
@@ -404,18 +399,15 @@ class StoreBuilder:
             if len(fields) != 3:
                 raise DataError(f"expected 3 tab-separated fields, got {len(fields)}")
             subject, relation, token = fields
+            if not subject or not relation:
+                raise DataError(_EMPTY_END)
             o = token_terms.get(token)
             if o is None:
                 literal = parse_literal(token)
                 if literal is None and not token:
                     raise DataError("empty object field")
-                obj = token if literal is None else literal
-                add_triple(subject, relation, obj)
-                token_terms[token] = term(obj)
-            elif not subject or not relation:
-                raise DataError(_EMPTY_END)
-            else:
-                add_row(subject, relation, o)
+                o = token_terms[token] = term(token if literal is None else literal)
+            add_row(subject, relation, o)
 
         read_rows(lines, source, parse_row, comments=True)
         return self

@@ -2,11 +2,11 @@
 
 Tokenization rules (documented so external scorers can conform):
   * structural tokens "(" and ")" and the operator words are atomic;
-  * schema names split on "." and "_", keeping the separators as
-    their own tokens, so names rebuild losslessly by concatenation;
+  * a schema name has the shape `NAME_RE` and splits on "." and "_",
+    keeping the separators as tokens, so it rebuilds by concatenation;
   * entity ids are atomic tokens;
-  * numeric literals split into single digits, an optional ".", and an
-    optional "^^" followed by a type-tag word;
+  * a numeric literal's lexical form splits into single digits and an
+    optional ".", then an optional "^^" followed by a type-tag word;
   * free text (questions, labels) splits into lowercase word/number
     chunks; unknown words map to the <unk> token.
 
@@ -38,7 +38,9 @@ SEPARATORS = (".", "_", "^^")
 DIGITS = tuple("0123456789")
 TYPE_TAGS = ("float", "integer")
 
-_NAME_SEGMENT_RE = re.compile(r"[A-Za-z0-9]+")
+# The one shape of a schema name, word(sep word)*
+NAME_RE = re.compile(r"[A-Za-z0-9]+(?:[._][A-Za-z0-9]+)*")
+_NAME_SEPARATOR_RE = re.compile(r"([._])")
 _NUMBER_WORD_RE = re.compile(r"\d+(?:\.\d+)?")
 
 
@@ -118,43 +120,21 @@ class Vocabulary:
 def tokenize_name(name: str) -> list[str]:
     """Split a schema name on "." and "_", keeping separators.
 
-    The shape word(sep word)* is enforced: it is what makes trie
-    terminals unambiguous during constrained decoding (a complete name
-    can only continue with a separator token).
+    The shape `NAME_RE`, word(sep word)*, is enforced: it is what makes
+    trie terminals unambiguous during constrained decoding (a complete
+    name can only continue with a separator token).
     """
-    if not name:
-        raise TokenizeError("empty schema name")
-    tokens: list[str] = []
-    i = 0
-    expect_word = True
-    while i < len(name):
-        ch = name[i]
-        if ch in "._":
-            if expect_word:
-                raise TokenizeError(f"schema name {name!r} has an empty segment")
-            tokens.append(ch)
-            expect_word = True
-            i += 1
-            continue
-        match = _NAME_SEGMENT_RE.match(name, i)
-        if not match or not expect_word:
-            raise TokenizeError(f"schema name {name!r} is not tokenizable")
-        tokens.append(match.group())
-        expect_word = False
-        i = match.end()
-    if expect_word:
-        raise TokenizeError(f"schema name {name!r} ends with a separator")
-    return tokens
+    if not NAME_RE.fullmatch(name):
+        raise TokenizeError(f"schema name {name!r} does not have the shape word(sep word)*, "
+                            "words of ASCII letters and digits, separators '.' and '_'")
+    return _NAME_SEPARATOR_RE.split(name)
 
 
 def tokenize_literal(lit: LiteralValue) -> list[str]:
-    if lit.kind == "integer":
-        text = str(int(lit.value))
-    elif lit.kind == "float":
-        text = repr(float(lit.value))
-    else:
+    if not lit.is_numeric():
         raise TokenizeError(f"literal kind {lit.kind!r} is not decodable")
-    if not re.fullmatch(r"\d+(?:\.\d+)?", text):
+    text = lit.lexical()
+    if not _NUMBER_WORD_RE.fullmatch(text):
         raise TokenizeError(f"literal {text!r} is not decodable "
                             "(negative or non-positional notation)")
     tokens = list(text)

@@ -446,7 +446,7 @@ class NeverClosingScorer:
 
     def __init__(self, ctx, seed, target=()):
         self.rows = RandomTokenScorer(ctx.tables.vocab.size, seed=seed)
-        self.close_id, self.target = ctx.tables.close_id, tuple(target)
+        self.close_id, self.target = ctx.tables.vocab.id(")"), tuple(target)
 
     def next_log_probs(self, context, prefix):
         row = np.array(self.rows.next_log_probs(context, prefix), dtype=float)

@@ -346,12 +346,21 @@ def test_malformed_labels_file_is_a_data_error(kb_files, dataset, tmp_path, caps
     ("e1\tr.x\t\n", "kb.tsv:1: empty object field"),
     # an object token seen before, with an empty subject
     ("e1\tr.x\te2\n\tr.x\te2\n", "kb.tsv:2: triple needs non-empty subject and relation"),
+    # the empty field is named before the object is read
+    ("\tr.x\tabc^^integer\n", "kb.tsv:1: triple needs non-empty subject and relation"),
 ])
 def test_empty_triple_field_is_a_data_error(lines, message, tmp_path, capsys):
     kb = tmp_path / "kb.tsv"
     kb.write_text(lines, encoding="utf-8")
     assert run(["ingest", "--kb", str(kb), str(tmp_path / "store")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_number_beyond_float_range_is_a_data_error(tmp_path, capsys):
+    kb = tmp_path / "kb.tsv"
+    kb.write_text("a\tr.x\t%s\n" % ("9" * 400), encoding="utf-8")
+    assert run(["ingest", "--kb", str(kb), str(tmp_path / "store")]) == 2
+    assert "kb.tsv:1: numeric literals must be finite" in capsys.readouterr().err
 
 
 def test_bad_meta_type_relation_is_a_data_error(tmp_path, capsys):

@@ -193,6 +193,11 @@ def test_is_valid_prediction(toy):
     assert is_valid_prediction("(COUNT (JOIN sf.oxidizer e1))", toy)
 
 
+def test_number_beyond_float_range_is_not_a_valid_prediction(toy):
+    """Such a number is a parse error, not a crash."""
+    assert not is_valid_prediction("(JOIN sf.chamber_pressure %s)" % ("9" * 400), toy)
+
+
 def test_datetime_comparison():
     from kbqa.store import parse_literal
     builder = StoreBuilder()

@@ -2,13 +2,13 @@ import random
 
 from kbqa.beam import _allowed_ids
 from kbqa.fixtures import toy_store
-from kbqa.grammar import (_FOLLOW, _MAY_END, _SLOTS, _TRIE_SLOTS, NEVER, DecodeContext,
-                          DecodeTables, advance, allowed_next, completion, initial_state,
-                          render_tokens)
+from kbqa.grammar import (_FOLLOW, _MAY_END, _SLOTS, _TRIE_SLOTS, NESTED_OPERATORS, NEVER,
+                          ROOT_OPERATORS, DecodeContext, DecodeTables, advance, allowed_next,
+                          completion, initial_state, render_tokens)
 from kbqa.pipeline import Pipeline
 from kbqa.sexpr import parse, print_canonical, validate_schema
 from kbqa.store import LiteralValue, StoreBuilder
-from kbqa.vocab import build_vocabulary, encode_logical_form
+from kbqa.vocab import DIGITS, build_vocabulary, encode_logical_form
 
 from randgen import random_store
 
@@ -29,17 +29,21 @@ def replay(ctx, ids):
     return state
 
 
+def ids_of(ctx, *tokens):
+    return frozenset(map(ctx.tables.vocab.id, tokens))
+
+
 def test_start_expects_open_paren():
     ctx, _ = make_ctx()
-    assert allowed_next(initial_state(), ctx) == frozenset((ctx.tables.open_id,))
+    assert allowed_next(initial_state(), ctx) == ids_of(ctx, "(")
 
 
 def test_after_open_paren_operators_only():
     ctx, _ = make_ctx()
-    state = advance(initial_state(), ctx.tables.open_id, ctx)
+    state = advance(initial_state(), ctx.tables.vocab.id("("), ctx)
     allowed = allowed_next(state, ctx)
-    assert allowed == ctx.tables.root_op_ids
-    assert ctx.tables.open_id not in allowed
+    assert allowed == ids_of(ctx, *ROOT_OPERATORS)
+    assert ctx.tables.vocab.id("(") not in allowed
 
 
 def test_nested_operators_exclude_functions():
@@ -47,9 +51,9 @@ def test_nested_operators_exclude_functions():
     vocab = ctx.tables.vocab
     ids = [vocab.id(t) for t in ["(", "AND"]]
     state = replay(ctx, ids)
-    state = advance(state, ctx.tables.open_id, ctx)  # nested open
+    state = advance(state, vocab.id("("), ctx)  # nested open
     allowed = allowed_next(state, ctx)
-    assert allowed == ctx.tables.nested_op_ids
+    assert allowed == ids_of(ctx, *NESTED_OPERATORS)
     assert vocab.id("COUNT") not in allowed
     assert vocab.id("ARGMIN") not in allowed
 
@@ -75,7 +79,7 @@ def test_terminal_exit_tokens():
     names = {vocab.token(t) for t in allowed}
     assert "(" in names
     assert ctx.linked <= allowed
-    assert ctx.tables.digit_ids <= allowed
+    assert ids_of(ctx, *DIGITS) <= allowed
     assert vocab.id("_") not in allowed  # name cannot continue
 
 
@@ -102,7 +106,7 @@ def test_done_state_accepts_only_end():
 
 def test_dead_end_returns_none():
     ctx, _ = make_ctx()
-    state = advance(initial_state(), ctx.tables.close_id, ctx)
+    state = advance(initial_state(), ctx.tables.vocab.id(")"), ctx)
     assert state is None
 
 
@@ -112,22 +116,22 @@ def test_literal_machine():
     prefix = ["(", "lt", "sf", ".", "chamber", "_", "pressure"]
     ids = [vocab.id(t) for t in prefix]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == ctx.tables.digit_ids  # literal must start
+    assert allowed_next(state, ctx) == ids_of(ctx, *DIGITS)  # literal must start
     ids += [vocab.id("2")]
     state = replay(ctx, ids)
     allowed = allowed_next(state, ctx)
-    assert ctx.tables.dot_id in allowed and ctx.tables.caret_id in allowed
-    assert ctx.tables.close_id in allowed  # integer may end here
+    assert vocab.id(".") in allowed and vocab.id("^^") in allowed
+    assert vocab.id(")") in allowed  # integer may end here
     ids += [vocab.id(".")]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == ctx.tables.digit_ids  # fraction needs a digit
+    assert allowed_next(state, ctx) == ids_of(ctx, *DIGITS)  # fraction needs a digit
     ids += [vocab.id("5"), vocab.id("^^")]
     state = replay(ctx, ids)
     # fractional payload: only the float tag keeps the literal parseable
-    assert allowed_next(state, ctx) == ctx.tables.float_tag_ids
+    assert allowed_next(state, ctx) == ids_of(ctx, "float")
     ids += [vocab.id("float")]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == frozenset((ctx.tables.close_id,))
+    assert allowed_next(state, ctx) == ids_of(ctx, ")")
 
 
 def test_integer_literal_allows_both_tags():
@@ -136,7 +140,7 @@ def test_integer_literal_allows_both_tags():
     ids = [vocab.id(t) for t in ["(", "lt", "sf", ".", "chamber", "_",
                                  "pressure", "7", "^^"]]
     state = replay(ctx, ids)
-    assert allowed_next(state, ctx) == ctx.tables.tag_ids
+    assert allowed_next(state, ctx) == ids_of(ctx, "float", "integer")
 
 
 def test_every_encoded_form_replays(toy):

@@ -46,6 +46,20 @@ def test_generated_provenance(toy):
     assert prediction.answers == ("sys1",)
 
 
+def test_number_beyond_float_range_starts_nothing(toy):
+    """A question number whose float is not finite equals no store node,
+    so it is no start point, and the prediction is that of the question
+    without it."""
+    huge = "9" * 400
+    pipe = Pipeline(toy, PipelineConfig(), token_scorer=oracle_factory(GOLD_CASE_ONE))
+    question = Question.of(f"{QUESTION_ONE} above {huge} or 300")
+    assert start_points(question, pipe.link(question)) == [
+        StartPoint.entity("e1"), StartPoint.literal(LiteralValue("float", 300.0))]
+    prediction = pipe.predict(f"{QUESTION_ONE} {huge}", "q1")
+    assert prediction == pipe.predict(QUESTION_ONE, "q1")
+    assert prediction.provenance == "generated" and not prediction.stage_errors
+
+
 def test_elf_fallback_provenance(toy):
     # valid grammar, valid schema, but empty denotation -> rejected;
     # the ranked exemplary forms take over

@@ -113,6 +113,14 @@ def test_atom_is_a_literal_only_when_number_shaped_or_tagged(atom, node, printed
     assert print_canonical(lf) == f"(JOIN r {printed})"
 
 
+@pytest.mark.parametrize("text", ["(JOIN r %s)" % ("9" * 400), "(lt r %s)" % ("9" * 400),
+                                  "(JOIN r %s)" % ("9" * 5000)])
+def test_number_beyond_float_range_is_a_parse_error(text):
+    with pytest.raises(SexprParseError) as err:
+        parse(text)
+    assert err.value.pos == text.index("9")
+
+
 def test_case_strings_round_trip_canonically():
     for text in CASE_STRINGS:
         printed = print_canonical(parse(text))
